@@ -180,7 +180,11 @@ def unit_exponential_buffer(seed, length: int) -> np.ndarray:
     exhaustion path relies on).
     """
     rng = np.random.default_rng(seed)
-    return -np.log1p(-rng.random(length))
+    # in place: one buffer-sized allocation per run, not three
+    buf = rng.random(length)
+    np.negative(buf, out=buf)
+    np.log1p(buf, out=buf)
+    return np.negative(buf, out=buf)
 
 
 def initial_buffer_len(n: int) -> int:

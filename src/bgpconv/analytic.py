@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -64,20 +66,29 @@ class BgpDegreeProfile:
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceEstimate:
-    """Expected convergence time with its conditional decomposition."""
+    """Expected convergence time with its conditional decomposition.
+
+    ``model`` and ``degenerate`` are the spec and mode the estimate was
+    evaluated with; ``profile`` rebuilds the D(i|x) matrix from them on
+    first access.
+    """
 
     expected_time: float
     per_x_expectation: np.ndarray  # E[T|x] for x in [0, N-k]
-    profile: BgpDegreeProfile
     p_sdn: np.ndarray
+    model: TopologySpec
+    degenerate: str
 
     def __post_init__(self) -> None:
-        recombined = math.fsum(
-            float(t) * float(p) for t, p in zip(self.per_x_expectation, self.p_sdn)
-        )
+        recombined = math.fsum((self.per_x_expectation * self.p_sdn).tolist())
         scale = max(abs(self.expected_time), 1.0)
         if abs(recombined - self.expected_time) > 1e-9 * scale:
             raise AssertionError("per-x decomposition does not recombine")
+
+    @cached_property
+    def profile(self) -> BgpDegreeProfile:
+        """The full D(i|x) matrix; O(N^2) memory, built on first access."""
+        return degree_profile(self.model, self.degenerate)
 
 
 @dataclass(frozen=True)
@@ -268,28 +279,99 @@ def recursion_degree_row(
     return out
 
 
+def _flat_degrees(spec: FullMesh | Poisson) -> np.ndarray:
+    """D as a function of the informed count alone, for n = 1..N-1.
+
+    Full-mesh and Poisson degrees depend on (i, x) only through
+    n(i|x), so D(i|x) = degrees[n(i|x) - 1].
+    """
+    n_total = spec.params.n_total
+    n = np.arange(1, n_total, dtype=np.int64)
+    if isinstance(spec, FullMesh):
+        return (n_total - n).astype(np.float64)
+    return (n_total - n) * (1.0 - (1.0 - spec.p_edge) ** n)
+
+
+def _check_flat_degrees(degrees: np.ndarray, params: ModelParams) -> None:
+    """Raise at the first sub-floor degree, in row-major (x, i) order.
+
+    Row x uses the counts n in [1, x] and [x + k, N - 1], so a bad count
+    at or above k first shows in row 0, and one below k first shows in
+    row x = n.  D is concave in n, so if any count is bad, n = 1 or
+    n = N - 1 is, and that row exists.
+    """
+    bad = degrees < EPS_DEGREE
+    if not bad.any():
+        return
+    bad_n = np.flatnonzero(bad) + 1
+    x = 0 if bad_n[-1] >= params.k_cluster else int(bad_n[0])
+    n_row = informed_counts_row(x, params)
+    i = int(np.flatnonzero(bad[n_row - 1])[0])
+    raise ModelDegenerateError(i + 1, x, float(degrees[n_row[i] - 1]))
+
+
+def _config_columns(spec: ConfigModel, degenerate: str) -> Iterator[np.ndarray]:
+    """Config-model degrees D(i|.) over every x in [0, N-k], one step i at a time.
+
+    Runs _config_row_raw's recurrence for all rows at once, with the same
+    IEEE operations in the same order per element, so each row equals
+    config_degree_row bit for bit.  Clamp mode switches a row to the
+    full-mesh degree N - n(i|x) from its first step below TAIL_FLOOR on;
+    error mode raises ModelDegenerateError at the first sub-floor entry
+    in row-major order, once no earlier row can produce one.  A yielded
+    column is valid until the next one is requested.
+    """
+    if degenerate not in ("error", "clamp"):
+        raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
+    params = spec.params
+    n_total, k, steps = params.n_total, params.k_cluster, params.steps
+    mu_d, cv2 = spec.mu_d, spec.cv_d * spec.cv_d
+    xs = np.arange(steps + 1, dtype=np.int64)
+    d = np.full(steps + 1, mu_d, dtype=np.float64)
+    d[0] = degree_config_first(0, params, mu_d)
+    mu = np.full(steps + 1, mu_d, dtype=np.float64)
+    clamped = np.zeros(steps + 1, dtype=bool)
+    bad: tuple[int, int, float] | None = None
+    limit = steps + 1  # rows that can still hold the first sub-floor entry
+    n_prev = None
+    for i in range(1, steps + 1):
+        n_i = np.where(xs < i, i + k - 1, i)  # n(i|x)
+        if n_prev is not None:
+            # n(i-1|x) <= N - 2 for every step that exists, so denom >= 1
+            denom = n_total - n_prev - 1
+            d = (1.0 - mu / denom) * d + (mu - 1.0)
+            mu *= 1.0 - cv2 / denom
+        n_prev = n_i
+        if degenerate == "clamp":
+            clamped |= d < TAIL_FLOOR
+            yield np.where(clamped, n_total - n_i, d)
+            continue
+        low = np.flatnonzero(d[:limit] < EPS_DEGREE)
+        if low.size:
+            limit = int(low[0])
+            bad = (i, limit, float(d[limit]))
+            if limit == 0:
+                break
+        yield d
+    if bad is not None:
+        raise ModelDegenerateError(*bad)
+
+
 def _profile_rows(spec: TopologySpec, degenerate: str) -> np.ndarray:
     if isinstance(spec, TieredCore):
         raise DomainError("tiered-core has no flat degree profile; use core_convergence_time")
     params = spec.params
     steps = params.steps
     values = np.empty((steps + 1, steps), dtype=np.float64)
-    if isinstance(spec, FullMesh):
-        for x in range(steps + 1):
-            values[x] = params.n_total - informed_counts_row(x, params)
+    if steps == 0:
         return values
-    if isinstance(spec, Poisson):
-        for x in range(steps + 1):
-            n_row = informed_counts_row(x, params)
-            values[x] = (params.n_total - n_row) * (
-                1.0 - (1.0 - spec.p_edge) ** n_row
-            )
+    if isinstance(spec, ConfigModel):
+        for i, column in enumerate(_config_columns(spec, degenerate)):
+            values[:, i] = column
         return values
-    assert isinstance(spec, ConfigModel)
+    degrees = _flat_degrees(spec)
     for x in range(steps + 1):
-        values[x] = config_degree_row(
-            x, params, spec.mu_d, spec.cv_d, degenerate=degenerate
-        )
+        values[x] = degrees[informed_counts_row(x, params) - 1]
     return values
 
 
@@ -306,37 +388,46 @@ def convergence_time(spec: TopologySpec, degenerate: str = "error") -> Convergen
     families.  ``degenerate`` selects config-model handling of steps
     where the closed form collapses (see config_degree_row).
 
-    The inner sum over i is evaluated per fixed x; the outer
-    P_sdn-weighted accumulation uses compensated summation.
+    Full mesh and Poisson: with f(n) = (1/lam) / D(n), each
+    E[T|x] = sum_{n<=x} f(n) + sum_{n>=x+k} f(n), one prefix and one
+    suffix sum, O(N) time and memory.  Config model: the recurrence runs
+    once per step over all x, O(N) memory.  The outer P_sdn-weighted
+    accumulation uses compensated summation.  The D(i|x) matrix itself
+    is built only if ``profile`` is read.
     """
     if isinstance(spec, TieredCore):
         raise DomainError("tiered-core is evaluated by core_convergence_time")
     params = spec.params
     dist = p_sdn_distribution(params)
     if params.steps == 0:
-        profile = BgpDegreeProfile(model=spec, values=np.empty((1, 0)))
         return ConvergenceEstimate(
             expected_time=0.0,
             per_x_expectation=np.zeros(1),
-            profile=profile,
             p_sdn=dist,
+            model=spec,
+            degenerate=degenerate,
         )
-    profile = degree_profile(spec, degenerate=degenerate)
-    values = profile.values
-    if not isinstance(spec, ConfigModel) and np.any(values < EPS_DEGREE):
-        # Config-model rows already resolved degenerate steps per mode;
-        # a sub-floor Poisson or full-mesh degree means the spec itself
-        # cannot disseminate (e.g. p_edge = 0) whatever the mode.
-        bad = np.argwhere(values < EPS_DEGREE)[0]
-        raise ModelDegenerateError(int(bad[1]) + 1, int(bad[0]), float(values[bad[0], bad[1]]))
     inv_lam = 1.0 / params.lam
-    per_x = (inv_lam / values).sum(axis=1)
-    expected = math.fsum(float(t) * float(p) for t, p in zip(per_x, dist))
+    if isinstance(spec, ConfigModel):
+        per_x = np.zeros(params.steps + 1)
+        for column in _config_columns(spec, degenerate):
+            per_x += inv_lam / column
+    else:
+        # a sub-floor Poisson or full-mesh degree means the spec itself
+        # cannot disseminate (e.g. p_edge = 0), whatever the mode
+        degrees = _flat_degrees(spec)
+        _check_flat_degrees(degrees, params)
+        f = inv_lam / degrees
+        prefix = np.concatenate(([0.0], np.cumsum(f)))  # sum over n <= x
+        suffix = np.concatenate((np.cumsum(f[::-1])[::-1], [0.0]))  # over n >= m, at m - 1
+        per_x = prefix[: params.steps + 1] + suffix[params.k_cluster - 1 :]
+    expected = math.fsum((per_x * dist).tolist())
     return ConvergenceEstimate(
         expected_time=expected,
         per_x_expectation=per_x,
-        profile=profile,
         p_sdn=dist,
+        model=spec,
+        degenerate=degenerate,
     )
 
 

@@ -12,18 +12,12 @@ distribution P_sdn(x) of the cluster-hit step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError
-
-# Above this network size the running product inside p_sdn is evaluated
-# in log space; below it, direct multiplication is exact enough and
-# cheaper.
-LOG_SPACE_THRESHOLD = 10_000
 
 
 @dataclass(frozen=True)
@@ -200,11 +194,6 @@ def p_sdn(x: int, params: ModelParams) -> float:
     if not 0 <= x <= steps:
         raise DomainError(f"x must be in [0, {steps}], got {x}")
     n, k = params.n_total, params.k_cluster
-    if n > LOG_SPACE_THRESHOLD:
-        log_miss = 0.0
-        for j in range(x):
-            log_miss += math.log1p(-k / (n - j))
-        return (k / (n - x)) * math.exp(log_miss)
     prod = 1.0
     for j in range(x):
         prod *= 1.0 - k / (n - j)
@@ -212,20 +201,15 @@ def p_sdn(x: int, params: ModelParams) -> float:
 
 
 def p_sdn_distribution(params: ModelParams) -> np.ndarray:
-    """Vector of p_sdn(x) for x in [0, N-k]; sums to 1 within 1e-9."""
+    """Vector of p_sdn(x) for x in [0, N-k]; sums to 1 within 1e-9.
+
+    The running product is a cumulative product, which multiplies in
+    the same order as p_sdn's loop.
+    """
     n, k = params.n_total, params.k_cluster
-    steps = params.steps
-    out = np.empty(steps + 1, dtype=np.float64)
-    if n > LOG_SPACE_THRESHOLD:
-        log_miss = 0.0
-        for x in range(steps + 1):
-            out[x] = (k / (n - x)) * math.exp(log_miss)
-            log_miss += math.log1p(-k / (n - x))
-        return out
-    prod = 1.0
-    for x in range(steps + 1):
-        out[x] = (k / (n - x)) * prod
-        prod *= 1.0 - k / (n - x)
+    hit = k / (n - np.arange(params.steps + 1, dtype=np.int64))
+    out = hit.copy()
+    out[1:] *= np.cumprod(1.0 - hit[:-1])
     return out
 
 

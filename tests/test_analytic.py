@@ -88,6 +88,99 @@ def test_whole_network_centralized_is_instant():
     assert est.per_x_expectation.shape == (1,)
 
 
+def harmonic(m: int) -> float:
+    return math.fsum(1 / i for i in range(1, m + 1))
+
+
+def test_full_mesh_above_ten_thousand_nodes_is_harmonic_sum():
+    # N = 10 001 once hit log1p(-1) in the hit distribution and raised
+    est = convergence_time(FullMesh(ModelParams(10_001, 1, 1.0)))
+    assert est.expected_time == pytest.approx(harmonic(10_000), rel=1e-12)
+
+
+def test_internet_scale_flat_families_evaluate_without_the_matrix():
+    # the hit distribution's running product drifts by ~4e-13 at k = 1
+    # here, which the 1e-12 tolerance covers
+    params = ModelParams(75_000, 1, 1.0)
+    mesh = convergence_time(FullMesh(params))
+    assert mesh.expected_time == pytest.approx(harmonic(74_999), rel=1e-12)
+    sparse = convergence_time(Poisson(params, 1e-4))
+    assert np.isfinite(sparse.expected_time)
+    assert sparse.expected_time >= mesh.expected_time
+    for est in (mesh, sparse):
+        assert "profile" not in est.__dict__
+        assert est.per_x_expectation.shape == (params.steps + 1,)
+
+
+EQUIVALENCE_PARAMS = [
+    ModelParams(2, 1, 1.0),
+    ModelParams(30, 7, 3.0),
+    ModelParams(50, 1, 0.5),
+    ModelParams(120, 10, 3.0),
+    ModelParams(200, 199, 1.0),
+]
+
+
+def equivalence_specs():
+    for params in EQUIVALENCE_PARAMS:
+        yield FullMesh(params), "error"
+        for p in (1e-9, 0.05, 0.4, 1.0):
+            yield Poisson(params, p), "error"
+        for mu_d, cv_d in ((1.5, 0.2), (4.0, 0.5), (13.4, 1.05)):
+            yield ConfigModel(params, mu_d=mu_d, cv_d=cv_d), "error"
+        for mu_d, cv_d in ((4.0, 2.5), (3.0, 0.0), (13.4, 1.05)):
+            yield ConfigModel(params, mu_d=mu_d, cv_d=cv_d), "clamp"
+    # collapses first at (step 13, x = 1), before its last step, while row 0 holds
+    yield ConfigModel(ModelParams(20, 5, 1.0), mu_d=4.0, cv_d=2.0), "error"
+
+
+def reference_matrix(spec, mode):
+    """D(i|x) row by row from the per-step functions, raising where they do."""
+    params = spec.params
+    steps = params.steps
+    rows = []
+    for x in range(steps + 1):
+        if isinstance(spec, ConfigModel):
+            rows.append(config_degree_row(x, params, spec.mu_d, spec.cv_d, degenerate=mode))
+            continue
+        if isinstance(spec, FullMesh):
+            row = [degree_full_mesh(StepContext(i, x), params) for i in range(1, steps + 1)]
+        else:
+            row = [degree_poisson(StepContext(i, x), params, spec.p_edge) for i in range(1, steps + 1)]
+        row = np.array(row, dtype=np.float64)
+        bad = np.flatnonzero(row < EPS_DEGREE)
+        if bad.size:
+            raise ModelDegenerateError(int(bad[0]) + 1, x, float(row[bad[0]]))
+        rows.append(row)
+    return np.array(rows).reshape(steps + 1, steps)
+
+
+@pytest.mark.parametrize("spec,mode", list(equivalence_specs()))
+def test_evaluation_matches_the_degree_matrix(spec, mode):
+    # the row-by-row D(i|x) matrix is the reference: each E[T|x] is its
+    # row's 1/(lam*D) sum, and a degenerate spec fails at the matrix's
+    # first sub-floor entry in row-major (x, i) order
+    try:
+        want = reference_matrix(spec, mode)
+    except ModelDegenerateError as ref:
+        with pytest.raises(ModelDegenerateError) as exc:
+            convergence_time(spec, degenerate=mode)
+        assert (exc.value.step, exc.value.sdn_hit_step) == (ref.step, ref.sdn_hit_step)
+        assert exc.value.value == pytest.approx(ref.value, rel=1e-15)
+        return
+    est = convergence_time(spec, degenerate=mode)
+    assert "profile" not in est.__dict__
+    values = est.profile.values
+    assert "profile" in est.__dict__
+    if isinstance(spec, ConfigModel):
+        np.testing.assert_array_equal(values, want)
+    else:
+        # numpy's vectorized pow may differ from the scalar one in the last bit
+        np.testing.assert_allclose(values, want, rtol=1e-15, atol=0.0)
+    per_x = (1.0 / spec.params.lam / values).sum(axis=1)
+    np.testing.assert_allclose(est.per_x_expectation, per_x, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------- degrees
 
 def test_degree_full_mesh_examples():
@@ -221,6 +314,9 @@ def test_strict_mode_raises_on_collapsed_row():
     with pytest.raises(ModelDegenerateError) as exc:
         convergence_time(spec)
     assert exc.value.value < EPS_DEGREE
+    # the first sub-floor entry in row-major (x, i) order
+    assert (exc.value.step, exc.value.sdn_hit_step) == (42, 0)
+    assert exc.value.value == -0.2161865001755684
 
 
 def test_clamp_mode_substitutes_full_mesh_tail():
@@ -245,8 +341,9 @@ def test_clamp_mode_substitutes_full_mesh_tail():
 def test_poisson_disconnected_raises_in_both_modes():
     spec = Poisson(ModelParams(8, 2, 1.0), 0.0)
     for mode in ("error", "clamp"):
-        with pytest.raises(ModelDegenerateError):
+        with pytest.raises(ModelDegenerateError) as exc:
             convergence_time(spec, degenerate=mode)
+        assert (exc.value.step, exc.value.sdn_hit_step, exc.value.value) == (1, 0, 0.0)
 
 
 def test_profile_validation_rejects_zero_entries():

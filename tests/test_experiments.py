@@ -7,6 +7,10 @@ are pinned byte-for-byte here.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +261,25 @@ def test_cli_analytic_full_mesh(capsys):
     out = capsys.readouterr().out
     assert "expected_time" in out
     assert "1.33333333" in out
+
+
+def test_cli_analytic_above_ten_thousand_nodes(capsys):
+    assert run_cli("analytic", "--family", "full-mesh", "--n", "10001", "--k", "5") == 0
+    assert "expected_time" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(bc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgpconv", "analytic", "--family", "full-mesh",
+         "--n", "10", "--k", "1", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    h9 = math.fsum(1 / i for i in range(1, 10))
+    assert json.loads(proc.stdout)["expected_time"] == pytest.approx(h9, rel=1e-8)
 
 
 def test_cli_analytic_tiered_breakdown(capsys):
