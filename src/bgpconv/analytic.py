@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateTailError, DomainError, ModelDegenerateError, UnreachableTopologyError
+from .errors import DomainError, ModelDegenerateError, UnreachableTopologyError
 from .model import (
     ConfigModel,
     FullMesh,
@@ -57,11 +57,6 @@ class BgpDegreeProfile:
 
     model: TopologySpec
     values: np.ndarray
-
-    def validate(self) -> None:
-        if np.any(self.values <= 0):
-            bad = np.argwhere(self.values <= 0)[0]
-            raise ModelDegenerateError(int(bad[1]) + 1, int(bad[0]), float(self.values[bad[0], bad[1]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,30 +143,6 @@ def degree_config_first(x: int, params: ModelParams, mu_d: float) -> float:
     return (n - k) * mu_d * math.log(n / (n - k))
 
 
-def mean_residual_degree(
-    j: int, x: int, params: ModelParams, mu_d: float, cv_d: float
-) -> float:
-    """Expected degree of the j-th informed node, mu_d(j|x).
-
-    Early steps preferentially reach high-degree nodes, so the residual
-    mean decays: mu_d * prod_{m=1}^{j-1} (1 - cv_d^2 / (N - n(m|x) - 1)).
-    """
-    if j < 1:
-        raise DomainError(f"j must be >= 1, got {j}")
-    if cv_d < 0:
-        raise DomainError(f"cv_d must be >= 0, got {cv_d}")
-    n_total = params.n_total
-    value = mu_d
-    cv2 = cv_d * cv_d
-    for m in range(1, j):
-        n_m = informed_count(StepContext(m, x), params)
-        denom = n_total - n_m - 1
-        if denom <= 0:
-            raise DegenerateTailError(m, x, denom)
-        value *= 1.0 - cv2 / denom
-    return value
-
-
 def _config_row_raw(
     x: int, params: ModelParams, mu_d: float, cv_d: float
 ) -> np.ndarray:
@@ -179,7 +150,10 @@ def _config_row_raw(
 
     Evaluated through the running recurrence
     D(i) = A(i-1) * D(i-1) + (mu_d(i-1) - 1),
-    which unrolls to the product-plus-sum closed form exactly.
+    which unrolls to the product-plus-sum closed form exactly.  The
+    mean residual degree mu_d(j) of the j-th informed node decays
+    because early steps preferentially reach high-degree nodes:
+    mu_d(j) = mu_d * prod_{m=1}^{j-1} (1 - cv_d^2 / (N - n(m|x) - 1)).
     """
     n_total, k = params.n_total, params.k_cluster
     steps = params.steps
@@ -190,9 +164,7 @@ def _config_row_raw(
     for i in range(2, steps + 1):
         j = i - 1
         n_j = j if j <= x else j + k - 1
-        denom = n_total - n_j - 1
-        if denom <= 0:
-            raise DegenerateTailError(j, x, denom)
+        denom = n_total - n_j - 1  # n_j <= N - 2 for every step that exists
         attenuation = 1.0 - mu_j / denom
         out[i - 1] = attenuation * out[i - 2] + (mu_j - 1.0)
         mu_j *= 1.0 - cv2 / denom
@@ -228,55 +200,6 @@ def config_degree_row(
             row[i0:] = params.n_total - n_row[i0:]
         return row
     raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
-
-
-def degree_config(
-    ctx: StepContext,
-    params: ModelParams,
-    mu_d: float,
-    cv_d: float,
-    floor: float = EPS_DEGREE,
-) -> float:
-    """Closed-form config-model bgp-degree E[D(i|x)], floored at ``floor``.
-
-    The floor keeps downstream 1/D sums finite; callers that need to
-    distinguish a degenerate step from a small healthy one should use
-    config_degree_row with degenerate="error".
-    """
-    ctx.validate(params)
-    row = _config_row_raw(ctx.sdn_hit_step, params, mu_d, cv_d)
-    return max(float(row[ctx.step - 1]), floor)
-
-
-def recursion_degree_row(
-    x: int, params: ModelParams, mu_d: float, cv_d: float
-) -> np.ndarray:
-    """Diagnostic variant from the derivation's running argument.
-
-    Uses D(i) = D(i-1) - 1 + mu_d(i-1) * (1 - D(i-1) / (N - n(i-1|x))),
-    whose denominator is N - n rather than the closed form's N - n - 1.
-    The two disagree (this one gives 4.0 where the closed form gives
-    3.875 on the documented worked example); the closed form is the
-    canonical result, this row exists for comparison only.
-    """
-    n_total, k = params.n_total, params.k_cluster
-    steps = params.steps
-    out = np.empty(steps, dtype=np.float64)
-    out[0] = degree_config_first(x, params, mu_d)
-    mu_j = mu_d
-    cv2 = cv_d * cv_d
-    for i in range(2, steps + 1):
-        j = i - 1
-        n_j = j if j <= x else j + k - 1
-        pool = n_total - n_j
-        if pool <= 0:
-            raise DegenerateTailError(j, x, pool)
-        out[i - 1] = out[i - 2] - 1.0 + mu_j * (1.0 - out[i - 2] / pool)
-        denom = pool - 1
-        if denom <= 0:
-            raise DegenerateTailError(j, x, denom)
-        mu_j *= 1.0 - cv2 / denom
-    return out
 
 
 def _flat_degrees(spec: FullMesh | Poisson) -> np.ndarray:

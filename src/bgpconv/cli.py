@@ -15,18 +15,12 @@ Exit codes: 0 success, 2 domain error, 3 unreachable topology, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .analytic import convergence_time, core_convergence_time
-from .errors import (
-    DegenerateTailError,
-    DomainError,
-    ModelDegenerateError,
-    UnreachableTopologyError,
-)
+from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .experiments import (
     DEFAULT_FRACTIONS,
     SweepSpec,
@@ -40,30 +34,23 @@ from .graphs import ensure_reachable, export_graph, gen_graph, import_graph
 from .model import ConfigModel, FullMesh, ModelParams, Poisson, TieredCore
 from .simulate import RunConfig, derive_seed, format_trace, simulate_batch, simulate_once
 
-_DOMAIN_ERRORS = (DomainError, ModelDegenerateError, DegenerateTailError)
-
 DEFAULT_P22_VALUES = (0.1, 0.3, 0.5)
 DEFAULT_K1_VALUES = (1, 5, 10, 20)
 
 
-def _float_list(text: str):
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _list_of(convert):
+    """argparse type: a comma-separated list, each item passed to convert."""
 
+    def parse(text: str):
+        parts = [p for p in text.replace(" ", "").split(",") if p]
+        if not parts:
+            raise argparse.ArgumentTypeError("expected a comma-separated list")
+        try:
+            return tuple(convert(p) for p in parts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
-def _int_list(text: str):
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 # config-file keys and how to convert their raw string values; keys a
@@ -72,10 +59,10 @@ def _int_list(text: str):
 _CONVERTERS = {
     "family": str, "n": int, "k": int, "lam": float, "p_edge": float,
     "mu_d": float, "cv_d": float, "d_min": int, "d_max": int, "exponent": float,
-    "fractions": _float_list, "runs": int, "seed": int, "policy": str,
+    "fractions": _list_of(float), "runs": int, "seed": int, "policy": str,
     "format": str, "out": str, "announcer": str, "trace": str,
     "n1": int, "n2": int, "k1": int, "p11": float, "p12": float, "p22": float,
-    "p22_values": _float_list, "k1_values": _int_list, "degenerate": str,
+    "p22_values": _list_of(float), "k1_values": _list_of(int), "degenerate": str,
 }
 
 
@@ -149,36 +136,11 @@ def _tiered_spec(args: argparse.Namespace, k1: int | None = None) -> TieredCore:
     )
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _emit(rows, fmt: str, out: str | None) -> None:
+    """Serialize through emit, to the --out path or else to stdout."""
+    text = emit(rows, fmt, out)
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
-def _emit_mapping(pairs: list[tuple[str, object]], fmt: str, out: str | None) -> None:
-    def cell(v):
-        if isinstance(v, float):
-            return format(v, ".9g")
-        return str(v)
-
-    if fmt == "json":
-        payload = {
-            k: (float(format(v, ".9g")) if isinstance(v, float) else v)
-            for k, v in pairs
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        text = (
-            ",".join(k for k, _ in pairs)
-            + "\n"
-            + ",".join(cell(v) for _, v in pairs)
-            + "\n"
-        )
-    else:
-        text = "".join(f"{k} = {cell(v)}\n" for k, v in pairs)
-    _write_or_print(text, out)
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
@@ -186,19 +148,19 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     seed = int(_get(args, "seed", 0))
     if getattr(args, "family", None) == "tiered":
         est = core_convergence_time(_tiered_spec(args))
-        pairs = [
-            ("t_peering", est.t_peering),
-            ("t_x_tier1", est.t_x_tier1),
-            ("t_tier1", est.t_tier1),
-            ("t_tier1_tier2", est.t_tier1_tier2),
-            ("t_transit", est.t_transit),
-            ("t_total", est.t_total),
-        ]
+        record = {
+            "t_peering": est.t_peering,
+            "t_x_tier1": est.t_x_tier1,
+            "t_tier1": est.t_tier1,
+            "t_tier1_tier2": est.t_tier1_tier2,
+            "t_transit": est.t_transit,
+            "t_total": est.t_total,
+        }
     else:
         spec = _flat_spec(args, int(_get(args, "k", 1)), seed, need_graph=False)
         est = convergence_time(spec, degenerate=_get(args, "degenerate", "error"))
-        pairs = [("expected_time", est.expected_time)]
-    _emit_mapping(pairs, fmt, getattr(args, "out", None))
+        record = {"expected_time": est.expected_time}
+    _emit(record, fmt, getattr(args, "out", None))
     return 0
 
 
@@ -247,15 +209,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             fh.write(format_trace(simulate_once(cfg, run_index=0)))
     stats = batch.stats
     lo, hi = stats.ci95
-    pairs = [
-        ("runs", stats.runs),
-        ("mean", stats.mean),
-        ("std_dev", stats.std_dev),
-        ("std_err", stats.std_err),
-        ("ci_low", lo),
-        ("ci_high", hi),
-    ]
-    _emit_mapping(pairs, fmt, getattr(args, "out", None))
+    record = {
+        "runs": stats.runs,
+        "mean": stats.mean,
+        "std_dev": stats.std_dev,
+        "std_err": stats.std_err,
+        "ci_low": lo,
+        "ci_high": hi,
+    }
+    _emit(record, fmt, getattr(args, "out", None))
     return 0
 
 
@@ -269,9 +231,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         master_seed=seed,
         policy=_get(args, "policy", "regenerate"),
     )
-    rows = run_sweep(spec)
-    text = emit(rows, _get(args, "format", "csv"))
-    _write_or_print(text, getattr(args, "out", None))
+    _emit(run_sweep(spec), _get(args, "format", "csv"), getattr(args, "out", None))
     return 0
 
 
@@ -288,8 +248,7 @@ def cmd_core(args: argparse.Namespace) -> int:
         master_seed=seed,
         policy=_get(args, "policy", "regenerate"),
     )
-    text = emit(result, _get(args, "format", "csv"))
-    _write_or_print(text, getattr(args, "out", None))
+    _emit(result, _get(args, "format", "csv"), getattr(args, "out", None))
     for p22 in sorted(result.best_k1):
         best = result.best_k1[p22]
         verdict = f"smallest k1 beating the k1=1 baseline: {best}" if best \
@@ -312,13 +271,13 @@ def cmd_export_graph(args: argparse.Namespace) -> int:
 def cmd_import_graph(args: argparse.Namespace) -> int:
     graph = import_graph(args.infile)
     graph.validate()
-    pairs = [
-        ("nodes", graph.node_count),
-        ("edges", graph.edge_count),
-        ("cluster_size", int(graph.cluster.size)),
-        ("tiered", "true" if graph.is_tiered else "false"),
-    ]
-    _emit_mapping(pairs, _get(args, "format", "text"), None)
+    record = {
+        "nodes": graph.node_count,
+        "edges": graph.edge_count,
+        "cluster_size": int(graph.cluster.size),
+        "tiered": "true" if graph.is_tiered else "false",
+    }
+    _emit(record, _get(args, "format", "text"), None)
     if getattr(args, "out", None) is not None:
         export_graph(graph, args.out)
     return 0
@@ -396,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="penetration sweep, analytic vs simulated")
     _add_flat_family(p, tiered_ok=False)
-    p.add_argument("--fractions", type=_float_list,
+    p.add_argument("--fractions", type=_list_of(float),
                    help="comma-separated k/N values (default 0.0..1.0 step 0.1)")
     _add_common(p)
     p.set_defaults(handler=cmd_sweep)
@@ -404,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("core", help="tiered case-study grid over (p22, k1)")
     _add_tiered_params(p)
     p.add_argument("--lam", type=float, help="per-neighbor forwarding rate")
-    p.add_argument("--p22-values", dest="p22_values", type=_float_list,
+    p.add_argument("--p22-values", dest="p22_values", type=_list_of(float),
                    help="comma-separated p22 grid (default 0.1,0.3,0.5)")
-    p.add_argument("--k1-values", dest="k1_values", type=_int_list,
+    p.add_argument("--k1-values", dest="k1_values", type=_list_of(int),
                    help="comma-separated k1 grid (default 1,5,10,20)")
     _add_common(p)
     p.set_defaults(handler=cmd_core)
@@ -433,7 +392,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.handler(args)
-    except _DOMAIN_ERRORS as exc:
+    except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnreachableTopologyError as exc:

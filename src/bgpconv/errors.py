@@ -30,18 +30,7 @@ class ModelDegenerateError(ArithmeticError):
         )
 
 
-class DegenerateTailError(ArithmeticError):
-    """A residual-degree product hit a nonpositive denominator.
-
-    Raised when N - n(m|x) - 1 <= 0 inside the attenuation product, which
-    only happens for step requests outside the model's valid range.
-    """
-
-    def __init__(self, m: int, sdn_hit_step: int, denominator: int):
-        self.m = m
-        self.sdn_hit_step = sdn_hit_step
-        self.denominator = denominator
-        super().__init__(
-            f"residual-degree product denominator N - n({m}|{sdn_hit_step}) - 1 "
-            f"= {denominator} is not positive"
-        )
+# Errors that mean an input lies outside what the model can evaluate:
+# the CLI exits 2 on them, and the sweep and grid drivers record them
+# in-row (together with UnreachableTopologyError) and go on.
+DOMAIN_ERRORS = (DomainError, ModelDegenerateError)

@@ -13,21 +13,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from ._kernels import run_dissemination
 from .analytic import convergence_time, core_convergence_time
-from .errors import (
-    DegenerateTailError,
-    DomainError,
-    ModelDegenerateError,
-    UnreachableTopologyError,
-)
+from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .graphs import (
-    ROLE_TIER2,
+    draw_announcer,
     ensure_reachable,
     gen_graph,
     gen_power_law_degrees,
@@ -49,13 +44,6 @@ _DEGSEQ_SALT = 3
 # k = 0 is outside the model, so the 0.0 label maps to k = 1 (the
 # no-effective-centralization baseline).
 DEFAULT_FRACTIONS = tuple(round(i / 10, 1) for i in range(11))
-
-_POINT_ERRORS = (
-    DomainError,
-    ModelDegenerateError,
-    DegenerateTailError,
-    UnreachableTopologyError,
-)
 
 
 def fraction_to_k(n_total: int, fraction: float) -> int:
@@ -205,7 +193,7 @@ def run_sweep(spec: SweepSpec, backend: str | None = None) -> list[ComparisonRow
                     seed=spec.master_seed,
                 )
             )
-        except _POINT_ERRORS as exc:
+        except (*DOMAIN_ERRORS, UnreachableTopologyError) as exc:
             rows.append(
                 ComparisonRow(
                     sweep_value=fraction,
@@ -271,8 +259,7 @@ def _case_study_point(
         else:
             rng = np.random.default_rng(np.random.SeedSequence((reach_seed, 0)))
             graph = gen_graph(spec_pt, rng)
-            tier2 = np.flatnonzero(graph.roles == ROLE_TIER2)
-            origin = int(tier2[rng.integers(0, tier2.size)])
+            origin = draw_announcer(rng, graph)
             node_times, _ = run_dissemination(
                 graph, origin, inv_lam, buf_seed, backend, policy="reachable-only"
             )
@@ -312,27 +299,22 @@ def run_case_study(
     partial = []
     for j, (p22, k1) in enumerate(grid):
         try:
-            spec_pt = TieredCore(
-                template.n1, template.n2, k1, template.p11, template.p12, p22,
-                template.lam,
-            )
+            spec_pt = replace(template, k1=k1, p22=p22)
             est = core_convergence_time(spec_pt)
             stats = _case_study_point(
                 spec_pt, runs_per_point, master_seed, j, policy, backend
             )
             partial.append((p22, k1, est, stats, None))
-        except _POINT_ERRORS as exc:
+        except (*DOMAIN_ERRORS, UnreachableTopologyError) as exc:
             partial.append((p22, k1, None, None, f"{type(exc).__name__}: {exc}"))
 
     baselines: dict[float, float] = {}
     for p22 in sorted(set(p for p, _ in grid)):
         try:
-            base_spec = TieredCore(
-                template.n1, template.n2, 1, template.p11, template.p12, p22,
-                template.lam,
-            )
-            baselines[p22] = core_convergence_time(base_spec).t_total
-        except _POINT_ERRORS:
+            baselines[p22] = core_convergence_time(
+                replace(template, k1=1, p22=p22)
+            ).t_total
+        except (*DOMAIN_ERRORS, UnreachableTopologyError):
             baselines[p22] = math.nan
 
     rows: list[CoreRow] = []
@@ -381,10 +363,14 @@ CORE_COLUMNS = (
     "sim_mean", "sim_std_err", "rel_error", "runs", "seed", "beats_baseline",
 )
 
-EmitRows = Union[Sequence[ComparisonRow], Sequence[CoreRow], CaseStudyResult]
+EmitRows = Union[
+    Sequence[ComparisonRow], Sequence[CoreRow], CaseStudyResult, Mapping[str, object]
+]
 
 
 def _fmt_cell(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -403,44 +389,52 @@ def _json_value(value):
 
 
 def emit(rows: EmitRows, format: str = "csv", path: str | None = None) -> str:
-    """Serialize result rows; optionally write them to path.
+    """Serialize result rows, or one record given as a mapping; optionally
+    write them to path.
 
     CSV sweep output carries exactly the pinned eight columns (failed
     points serialize as nan); JSON mirrors the field names and adds the
-    per-row error marker, plus best_k1 for case-study results.
+    per-row error marker, plus best_k1 for case-study results.  A
+    mapping serializes as one CSV line under its keys, one JSON object,
+    or, in any other format ("text"), `key = value` lines.
     """
     best_k1 = None
-    if isinstance(rows, CaseStudyResult):
-        best_k1 = rows.best_k1
-        rows = rows.rows
-    rows = list(rows)
-    if not rows:
-        raise DomainError("no rows to emit")
-    if isinstance(rows[0], ComparisonRow):
-        columns = SWEEP_COLUMNS
-    elif isinstance(rows[0], CoreRow):
-        columns = CORE_COLUMNS
+    if isinstance(rows, Mapping):
+        columns, records = tuple(rows), [rows]
     else:
-        raise DomainError(f"cannot emit rows of type {type(rows[0]).__name__}")
-    if any(not isinstance(r, type(rows[0])) for r in rows):
-        raise DomainError("mixed row types in one emission")
+        if isinstance(rows, CaseStudyResult):
+            best_k1 = rows.best_k1
+            rows = rows.rows
+        rows = list(rows)
+        if not rows:
+            raise DomainError("no rows to emit")
+        if isinstance(rows[0], ComparisonRow):
+            columns = SWEEP_COLUMNS
+        elif isinstance(rows[0], CoreRow):
+            columns = CORE_COLUMNS
+        else:
+            raise DomainError(f"cannot emit rows of type {type(rows[0]).__name__}")
+        if any(not isinstance(r, type(rows[0])) for r in rows):
+            raise DomainError("mixed row types in one emission")
+        records = [{f.name: getattr(row, f.name) for f in fields(row)} for row in rows]
 
     if format == "csv":
         lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(getattr(row, c)) for c in columns))
+        for record in records:
+            lines.append(",".join(_fmt_cell(record[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     elif format == "json":
-        payload = [
-            {f.name: _json_value(getattr(row, f.name)) for f in fields(row)}
-            for row in rows
-        ]
-        if best_k1 is not None:
+        payload = [{k: _json_value(v) for k, v in r.items()} for r in records]
+        if isinstance(rows, Mapping):
+            payload = payload[0]
+        elif best_k1 is not None:
             payload = {
                 "rows": payload,
                 "best_k1": {_fmt_cell(p): best_k1[p] for p in sorted(best_k1)},
             }
         text = json.dumps(payload, indent=2) + "\n"
+    elif isinstance(rows, Mapping):
+        text = "".join(f"{k} = {_fmt_cell(v)}\n" for k, v in rows.items())
     else:
         raise DomainError(f"unknown output format {format!r}")
 

@@ -178,22 +178,6 @@ def from_edges(
     )
 
 
-@dataclass(frozen=True)
-class DegreeSequenceStats:
-    """Summary of a degree sequence as the analytic formulas consume it."""
-
-    mu_d: float
-    cv_d: float
-    min_d: int
-    max_d: int
-
-    @classmethod
-    def from_degrees(cls, degrees) -> "DegreeSequenceStats":
-        arr = np.asarray(degrees, dtype=np.int64)
-        mu, cv = degree_stats(arr)
-        return cls(mu_d=mu, cv_d=cv, min_d=int(arr.min()), max_d=int(arr.max()))
-
-
 def _sample_cluster(rng: np.random.Generator, pool_size: int, k: int) -> np.ndarray:
     return np.sort(rng.choice(pool_size, size=k, replace=False).astype(np.int64))
 
@@ -424,10 +408,6 @@ def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
     return seen
 
 
-def is_fully_reachable(graph: Graph, announcer: int) -> bool:
-    return bool(reachable_set(graph, announcer).all())
-
-
 @dataclass(frozen=True, eq=False)
 class ReachableDraw:
     """A (graph, announcer) pair that covers the network, plus retry info."""
@@ -438,7 +418,8 @@ class ReachableDraw:
     failures: int       # draws rejected for unreachable nodes
 
 
-def _draw_announcer(rng: np.random.Generator, graph: Graph) -> int:
+def draw_announcer(rng: np.random.Generator, graph: Graph) -> int:
+    """One uniform announcer: over tier-2 nodes on tiered graphs, else all nodes."""
     if graph.is_tiered:
         tier2 = np.flatnonzero(graph.roles == ROLE_TIER2)
         return int(tier2[rng.integers(0, tier2.size)])
@@ -465,7 +446,7 @@ def ensure_reachable(
     for attempt in range(max_retries):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), attempt)))
         graph = gen_graph(spec, rng)
-        chosen = announcer if announcer is not None else _draw_announcer(rng, graph)
+        chosen = announcer if announcer is not None else draw_announcer(rng, graph)
         if graph.is_tiered and graph.roles[chosen] != ROLE_TIER2:
             raise DomainError(f"announcer {chosen} is not a tier-2 node")
         reached = reachable_set(graph, chosen)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import run_dissemination
 from .errors import DomainError, UnreachableTopologyError
-from .graphs import ROLE_TIER2, Graph
+from .graphs import ROLE_TIER2, Graph, draw_announcer
 
 Announcer = Union[int, str]
 
@@ -111,13 +111,6 @@ def _check_announcer(graph: Graph, announcer: int) -> int:
     return announcer
 
 
-def _draw_announcer(graph: Graph, rng: np.random.Generator) -> int:
-    if graph.is_tiered:
-        tier2 = np.flatnonzero(graph.roles == ROLE_TIER2)
-        return int(tier2[rng.integers(0, tier2.size)])
-    return int(rng.integers(0, graph.node_count))
-
-
 def _run_times(
     cfg: RunConfig, run_index: int, backend: str | None
 ) -> tuple[int, np.ndarray]:
@@ -125,7 +118,7 @@ def _run_times(
     run_ss = np.random.SeedSequence((int(cfg.seed), int(run_index)))
     ann_child, buf_child = run_ss.spawn(2)
     if isinstance(cfg.announcer, str):
-        origin = _draw_announcer(cfg.graph, np.random.default_rng(ann_child))
+        origin = draw_announcer(np.random.default_rng(ann_child), cfg.graph)
     else:
         origin = _check_announcer(cfg.graph, cfg.announcer)
     times, _ = run_dissemination(
@@ -204,20 +197,6 @@ def simulate_batch(
     return BatchResult(
         times=times, announcers=announcers, stats=RunStats.from_times(times)
     )
-
-
-def simulate_tiered(
-    cfg: RunConfig, run_index: int = 0, backend: str | None = None
-) -> DisseminationTrace:
-    """simulate_once specialized to tiered graphs.
-
-    The announcer must be a tier-2 node; it forwards over its own
-    peering and transit edges, tier-1 nodes forward everywhere, and
-    other tier-2 nodes only receive.
-    """
-    if not cfg.graph.is_tiered:
-        raise DomainError("simulate_tiered needs a graph with tier roles")
-    return simulate_once(cfg, run_index, backend)
 
 
 def format_trace(trace: DisseminationTrace) -> str:

@@ -21,20 +21,15 @@ import bgpconv as bc
 from bgpconv.analytic import (
     EPS_DEGREE,
     TAIL_FLOOR,
-    BgpDegreeProfile,
     config_degree_row,
     convergence_time,
     core_convergence_time,
-    degree_config,
     degree_config_first,
     degree_full_mesh,
     degree_poisson,
     degree_profile,
-    mean_residual_degree,
-    recursion_degree_row,
 )
 from bgpconv.errors import (
-    DegenerateTailError,
     DomainError,
     ModelDegenerateError,
     UnreachableTopologyError,
@@ -246,32 +241,45 @@ def test_degree_config_first_sits_above_sampled_graphs():
 
 
 def test_mean_residual_degree_examples():
+    # the row step D(i+1) = (1 - mu_i / (N - n_i - 1)) * D(i) + mu_i - 1
+    # exposes the mean residual degree mu_i; at x = 1 on N = 10, k = 1,
+    # n_i = i.  cv = 1 decays mu_2 to 3 * (1 - 1/8) = 2.625; cv = 0
+    # keeps every mu_i at 3.
     params = ModelParams(10, 1, 1.0)
-    assert mean_residual_degree(1, 1, params, 3.0, 1.0) == 3.0
-    assert mean_residual_degree(2, 1, params, 3.0, 1.0) == pytest.approx(2.625)
-    for j in (1, 2, 5):
-        assert mean_residual_degree(j, 1, params, 3.0, 0.0) == pytest.approx(3.0)
+
+    def mu(row, i):
+        return (row[i] - row[i - 1] + 1.0) / (1.0 - row[i - 1] / (10 - i - 1))
+
+    row = config_degree_row(1, params, 3.0, 1.0, degenerate="clamp")
+    assert row[0] == 3.0
+    assert mu(row, 1) == pytest.approx(3.0)
+    assert mu(row, 2) == pytest.approx(2.625)
+    flat = config_degree_row(1, params, 3.0, 0.0, degenerate="clamp")
+    for i in (1, 2, 5):
+        assert mu(flat, i) == pytest.approx(3.0)
 
 
 def test_degree_config_closed_form_vs_recursion_diagnostic():
     # same inputs, two evaluation orders: the closed form divides by the
     # residual pool (N - n - 1) and gives 3.875; the textbook recursion
-    # divides by N - n and gives 4.0.  Both are pinned so a silent swap
-    # of denominators cannot slip through.
+    # D(2) = D(1) - 1 + mu * (1 - D(1) / (N - n)) divides by N - n and
+    # gives 4.0.  Both are pinned so a silent swap of denominators
+    # cannot slip through.  Error mode would raise at i = 9 on this spec.
     params = ModelParams(10, 1, 1.0)
-    assert degree_config(StepContext(2, 1), params, 3.0, 0.0) == pytest.approx(3.875)
-    row = recursion_degree_row(1, params, 3.0, 0.0)
-    assert row[1] == pytest.approx(4.0)
+    row = config_degree_row(1, params, 3.0, 0.0, degenerate="clamp")
+    assert row[1] == pytest.approx(3.875)
+    assert row[0] - 1.0 + 3.0 * (1.0 - row[0] / (10 - 1)) == pytest.approx(4.0)
 
 
-def test_degree_config_scalar_floors_the_raw_row():
+def test_clamp_mode_keeps_the_raw_row_above_the_tail_floor():
     from bgpconv.analytic import _config_row_raw
 
     params = ModelParams(20, 3, 1.0)
     raw = _config_row_raw(2, params, 4.0, 0.5)
-    for i in range(1, params.steps + 1):
-        want = max(float(raw[i - 1]), EPS_DEGREE)
-        assert degree_config(StepContext(i, 2), params, 4.0, 0.5) == want
+    row = config_degree_row(2, params, 4.0, 0.5, degenerate="clamp")
+    first_low = int(np.flatnonzero(raw < TAIL_FLOOR)[0])
+    assert 0 < first_low < params.steps
+    assert np.array_equal(row[:first_low], raw[:first_low])
 
 
 def test_ten_node_regular_brute_force_band():
@@ -344,14 +352,6 @@ def test_poisson_disconnected_raises_in_both_modes():
         with pytest.raises(ModelDegenerateError) as exc:
             convergence_time(spec, degenerate=mode)
         assert (exc.value.step, exc.value.sdn_hit_step, exc.value.value) == (1, 0, 0.0)
-
-
-def test_profile_validation_rejects_zero_entries():
-    params = ModelParams(4, 2, 1.0)
-    values = np.ones((3, 2))
-    values[1, 1] = 0.0
-    with pytest.raises(ModelDegenerateError):
-        BgpDegreeProfile(FullMesh(params), values).validate()
 
 
 # ------------------------------------------------------------- structure

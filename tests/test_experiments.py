@@ -282,6 +282,15 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["expected_time"] == pytest.approx(h9, rel=1e-8)
 
 
+def test_public_names_resolve():
+    assert len(set(bc.__all__)) == len(bc.__all__)
+    missing = [name for name in bc.__all__ if not hasattr(bc, name)]
+    assert missing == []
+    namespace = {}
+    exec("from bgpconv import *", namespace)
+    assert set(bc.__all__) <= set(namespace)
+
+
 def test_cli_analytic_tiered_breakdown(capsys):
     assert run_cli("analytic", "--family", "tiered", "--format", "json") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -369,6 +378,71 @@ def test_cli_graph_round_trip(tmp_path, capsys):
     assert again.read_text() == text
     summary = capsys.readouterr().out
     assert "12" in summary
+
+
+PINNED_GRAPH = (
+    "n 10\n0 1 peer11\n0 2 peer11\n0 4 transit12\n0 5 transit12\n"
+    "0 9 transit12\n1 2 peer11\n2 5 transit12\n3 8 transit12\n3 9 transit12\n"
+    "4 5 peer22\n5 6 peer22\n6 7 peer22\n7 9 peer22\ncluster 1 3\n"
+)
+
+SINGLE_RECORD_COMMANDS = {
+    "analytic-full-mesh": ("analytic", "--family", "full-mesh", "--n", "30", "--k", "3"),
+    "analytic-tiered": ("analytic", "--family", "tiered"),
+    "simulate-full-mesh": (
+        "simulate", "--family", "full-mesh", "--n", "12", "--k", "2",
+        "--runs", "20", "--seed", "3",
+    ),
+    "import-graph": ("import-graph", "--in", "{graph}"),
+}
+
+# stdout of each single-record command, byte for byte
+SINGLE_RECORD_BYTES = {
+    ("analytic-full-mesh", "text"): "expected_time = 3.85820552\n",
+    ("analytic-full-mesh", "csv"): "expected_time\n3.85820552\n",
+    ("analytic-full-mesh", "json"): '{\n  "expected_time": 3.85820552\n}\n',
+    ("analytic-tiered", "text"): (
+        "t_peering = 3.54773966\nt_x_tier1 = 0.2\nt_tier1 = 3.63608095\n"
+        "t_tier1_tier2 = 0.990595856\nt_transit = 4.82667681\nt_total = 4.82667681\n"
+    ),
+    ("analytic-tiered", "csv"): (
+        "t_peering,t_x_tier1,t_tier1,t_tier1_tier2,t_transit,t_total\n"
+        "3.54773966,0.2,3.63608095,0.990595856,4.82667681,4.82667681\n"
+    ),
+    ("analytic-tiered", "json"): (
+        '{\n  "t_peering": 3.54773966,\n  "t_x_tier1": 0.2,\n'
+        '  "t_tier1": 3.63608095,\n  "t_tier1_tier2": 0.990595856,\n'
+        '  "t_transit": 4.82667681,\n  "t_total": 4.82667681\n}\n'
+    ),
+    ("simulate-full-mesh", "text"): (
+        "runs = 20\nmean = 2.50268394\nstd_dev = 1.02807419\n"
+        "std_err = 0.229884378\nci_low = 2.05211056\nci_high = 2.95325732\n"
+    ),
+    ("simulate-full-mesh", "csv"): (
+        "runs,mean,std_dev,std_err,ci_low,ci_high\n"
+        "20,2.50268394,1.02807419,0.229884378,2.05211056,2.95325732\n"
+    ),
+    ("simulate-full-mesh", "json"): (
+        '{\n  "runs": 20,\n  "mean": 2.50268394,\n  "std_dev": 1.02807419,\n'
+        '  "std_err": 0.229884378,\n  "ci_low": 2.05211056,\n'
+        '  "ci_high": 2.95325732\n}\n'
+    ),
+    ("import-graph", "text"): "nodes = 10\nedges = 13\ncluster_size = 2\ntiered = true\n",
+    ("import-graph", "csv"): "nodes,edges,cluster_size,tiered\n10,13,2,true\n",
+    ("import-graph", "json"): (
+        '{\n  "nodes": 10,\n  "edges": 13,\n  "cluster_size": 2,\n'
+        '  "tiered": "true"\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(SINGLE_RECORD_BYTES))
+def test_cli_single_record_output_bytes(command, fmt, tmp_path, capsys):
+    graph = tmp_path / "pinned.graph"
+    graph.write_text(PINNED_GRAPH)
+    argv = [a.format(graph=graph) for a in SINGLE_RECORD_COMMANDS[command]]
+    assert run_cli(*argv, "--format", fmt) == 0
+    assert capsys.readouterr().out == SINGLE_RECORD_BYTES[command, fmt]
 
 
 def test_cli_core_reports_best_k1(capsys):

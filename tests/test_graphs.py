@@ -19,7 +19,6 @@ from bgpconv.graphs import (
     KIND_TRANSIT12,
     ROLE_TIER1,
     ROLE_TIER2,
-    DegreeSequenceStats,
     ensure_reachable,
     export_graph,
     from_edges,
@@ -30,7 +29,6 @@ from bgpconv.graphs import (
     gen_power_law_degrees,
     gen_tiered_core,
     import_graph,
-    is_fully_reachable,
     reachable_set,
 )
 from bgpconv.model import ConfigModel, ModelParams, Poisson, TieredCore
@@ -171,9 +169,9 @@ def test_config_erasure_collapses_heavy_hubs():
     realized_mu = 2 * g.edge_count / 300
     assert realized_mu < deg.mean()
     assert (deg.mean() - realized_mu) / deg.mean() <= 0.25
-    stats = DegreeSequenceStats.from_degrees(g.degrees)
-    assert stats.mu_d == pytest.approx(realized_mu)
-    assert stats.max_d <= 200
+    mu_d, _ = g.degree_stats()
+    assert mu_d == pytest.approx(realized_mu)
+    assert g.degrees.max() <= 200
 
 
 def test_config_preconditions():
@@ -255,7 +253,7 @@ def test_reachable_set_uses_cluster_as_one_supernode():
     assert reached.all()
     lone = from_edges(3, np.array([0]), np.array([1]), cluster=np.array([0]))
     assert not reachable_set(lone, 0)[2]
-    assert not is_fully_reachable(lone, 0)
+    assert not reachable_set(lone, 0).all()
 
 
 def test_reachable_set_respects_forwarding_rules():
@@ -276,7 +274,7 @@ def test_ensure_reachable_full_mesh_first_try():
 
     draw = ensure_reachable(FullMesh(ModelParams(25, 2, 1.0)), 11)
     assert draw.attempts == 1 and draw.failures == 0
-    assert is_fully_reachable(draw.graph, draw.announcer)
+    assert reachable_set(draw.graph, draw.announcer).all()
 
 
 def test_ensure_reachable_gives_up_with_diagnostics():

@@ -30,7 +30,6 @@ from bgpconv.simulate import (
     format_trace,
     simulate_batch,
     simulate_once,
-    simulate_tiered,
 )
 
 TIERED = TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0)
@@ -235,7 +234,7 @@ def test_tiered_announcer_must_be_tier2():
     with pytest.raises(DomainError):
         RunConfig(graph=g, announcer=0, seed=1)  # node 0 is tier-1
     cfg = RunConfig(graph=g, announcer=25, seed=1)
-    trace = simulate_tiered(cfg, 0)
+    trace = simulate_once(cfg, 0)
     assert trace.announcer == 25
 
 
@@ -252,12 +251,6 @@ def test_tiered_without_transit_cannot_converge():
     cfg = RunConfig(graph=g, announcer=30, seed=2)
     with pytest.raises(UnreachableTopologyError):
         simulate_once(cfg, 0)
-
-
-def test_simulate_tiered_rejects_flat_graphs():
-    cfg = mesh_cfg(6, 1, seed=0)
-    with pytest.raises(DomainError):
-        simulate_tiered(cfg, 0)
 
 
 def test_announcer_policy_validation():
