@@ -11,10 +11,17 @@ Exp(lambda * frontier_size).
 Two interchangeable backends produce bit-identical results: a compiled
 kernel (numba, the default whenever numba imports) and a vectorized
 numpy fallback.  Identity holds because both consume the same
-pregenerated unit-exponential buffer in ascending node-id order within
-each step and apply the same floating-point operations to each entry.
-Selection is via the BGPCONV_BACKEND environment variable ("numba",
-"numpy", or "auto") or an explicit argument.
+unit-exponential stream in ascending node-id order within each step and
+apply the same floating-point operations to each entry.  Selection is
+via the BGPCONV_BACKEND environment variable ("numba", "numpy", or
+"auto") or an explicit argument.
+
+Kernel contract: run_dissemination informs the origin and owns the
+run's one Generator.  A kernel takes the state (informed, counts, t)
+plus a buffer of draws, runs only the event loop, and returns
+(status, pos, t).  STATUS_OK: every node is informed.  STATUS_STUCK: the
+frontier is empty.  STATUS_REFILL: the buffer ran short; pos is where
+the unfinished step began, and the state is as it was there.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 ENV_BACKEND = "BGPCONV_BACKEND"
 
 STATUS_OK = 0
-STATUS_BUFFER_EXHAUSTED = -1
+STATUS_REFILL = -1
 STATUS_STUCK = -2
 
 
@@ -54,48 +61,31 @@ def active_backend() -> str:
 
 
 def _scalar_kernel(
-    indptr, indices, forwards, cluster, is_cluster, announcer, unit_exp, inv_lam, out_times
+    indptr, indices, forwards, cluster, is_cluster,
+    informed, counts, t, unit_exp, inv_lam, out_times,
 ):
     n = out_times.shape[0]
-    informed = np.zeros(n, dtype=np.bool_)
-    # count of informed forwarding neighbors; > 0 marks frontier membership
-    counts = np.zeros(n, dtype=np.int64)
-    pos = 0
     n_informed = 0
-    t = 0.0
-
-    informed[announcer] = True
-    out_times[announcer] = 0.0
-    n_informed += 1
-    if forwards[announcer]:
-        for e in range(indptr[announcer], indptr[announcer + 1]):
-            counts[indices[e]] += 1
-    if is_cluster[announcer]:
-        for ci in range(cluster.shape[0]):
-            m = cluster[ci]
-            if not informed[m]:
-                informed[m] = True
-                out_times[m] = 0.0
-                n_informed += 1
-                if forwards[m]:
-                    for e in range(indptr[m], indptr[m + 1]):
-                        counts[indices[e]] += 1
-
+    for u in range(n):
+        if informed[u]:
+            n_informed += 1
+    pos = 0
     while n_informed < n:
+        step_start = pos
         best = np.inf
         best_node = -1
         for u in range(n):
             if informed[u] or counts[u] == 0:
                 continue
             if pos >= unit_exp.shape[0]:
-                return (-1, pos)
+                return (STATUS_REFILL, step_start, t)
             d = unit_exp[pos] * inv_lam
             pos += 1
             if d < best:  # strict: earliest node id wins ties
                 best = d
                 best_node = u
         if best_node < 0:
-            return (-2, pos)
+            return (STATUS_STUCK, pos, t)
         t += best
         informed[best_node] = True
         out_times[best_node] = t
@@ -113,7 +103,7 @@ def _scalar_kernel(
                     if forwards[m]:
                         for e in range(indptr[m], indptr[m + 1]):
                             counts[indices[e]] += 1
-    return (0, pos)
+    return (STATUS_OK, pos, t)
 
 
 if HAS_NUMBA:
@@ -123,33 +113,18 @@ else:  # pragma: no cover - exercised only without numba installed
 
 
 def _vector_kernel(
-    indptr, indices, forwards, cluster, is_cluster, announcer, unit_exp, inv_lam, out_times
+    indptr, indices, forwards, cluster, is_cluster,
+    informed, counts, t, unit_exp, inv_lam, out_times,
 ):
     n = out_times.shape[0]
-    informed = np.zeros(n, dtype=np.bool_)
-    counts = np.zeros(n, dtype=np.int64)
-    pos = 0
-    t = 0.0
-
-    informed[announcer] = True
-    out_times[announcer] = 0.0
-    if forwards[announcer]:
-        counts[indices[indptr[announcer] : indptr[announcer + 1]]] += 1
-    if is_cluster[announcer]:
-        fresh = cluster[~informed[cluster]]
-        informed[fresh] = True
-        out_times[fresh] = 0.0
-        for m in fresh:
-            if forwards[m]:
-                counts[indices[indptr[m] : indptr[m + 1]]] += 1
-
     n_informed = int(informed.sum())
+    pos = 0
     while n_informed < n:
         frontier = np.flatnonzero(~informed & (counts > 0))
         if frontier.size == 0:
-            return (-2, pos)
+            return (STATUS_STUCK, pos, t)
         if pos + frontier.size > unit_exp.shape[0]:
-            return (-1, pos)
+            return (STATUS_REFILL, pos, t)
         delays = unit_exp[pos : pos + frontier.size] * inv_lam
         pos += frontier.size
         j = int(np.argmin(delays))  # first occurrence: earliest node id wins ties
@@ -169,31 +144,20 @@ def _vector_kernel(
                     n_informed += 1
                     if forwards[m]:
                         counts[indices[indptr[m] : indptr[m + 1]]] += 1
-    return (0, pos)
+    return (STATUS_OK, pos, t)
 
 
-def unit_exponential_buffer(seed, length: int) -> np.ndarray:
-    """Exp(1) samples via inverse transform on the uniform stream.
+def unit_exponential_buffer(rng: np.random.Generator, length: int) -> np.ndarray:
+    """The next length Exp(1) samples of rng, by inverse transform.
 
-    One uniform per sample, so a longer buffer from the same seed has
-    the shorter one as an exact prefix (the property the regenerate-on-
-    exhaustion path relies on).
+    One uniform per sample, so consecutive calls on one Generator
+    concatenate to exactly the samples of a single longer call.
     """
-    rng = np.random.default_rng(seed)
-    # in place: one buffer-sized allocation per run, not three
+    # in place: one buffer-sized allocation per call, not three
     buf = rng.random(length)
     np.negative(buf, out=buf)
     np.log1p(buf, out=buf)
     return np.negative(buf, out=buf)
-
-
-def initial_buffer_len(n: int) -> int:
-    # Total consumption is one draw per frontier node per step, which is
-    # bounded by n(n-1)/2; pay that upfront for small graphs and start
-    # small with doubling for large ones.
-    if n <= 2048:
-        return max(n * (n - 1) // 2, 1)
-    return 8 * n
 
 
 def run_dissemination(
@@ -206,9 +170,13 @@ def run_dissemination(
 ) -> tuple[np.ndarray, int]:
     """One dissemination over graph; returns (informed times, draws used).
 
-    seed feeds the exponential buffer (int or SeedSequence).  If the
-    buffer runs out it is regenerated longer from the same seed and the
-    run restarts, so results never depend on the initial buffer size.
+    seed (int or SeedSequence) opens the run's one Generator.  The
+    announcer, and its SDN cluster when it belongs to one, are informed
+    at time 0 here; the backend kernel then runs the event loop on
+    unit exponentials drawn 8n at a time.  A kernel that runs short
+    returns where its unfinished step began, and is called again on the
+    draws it had not used followed by the next chunk of the same stream,
+    so results never depend on the chunk size.
 
     Nodes the announcement cannot reach raise under the "strict" policy;
     under "reachable-only" the run covers what it can and leaves those
@@ -226,32 +194,36 @@ def run_dissemination(
     if policy not in ("strict", "reachable-only"):
         raise DomainError(f"unknown policy {policy!r}; use strict or reachable-only")
 
+    announcer = int(announcer)
     forwards = forwarder_mask(graph, announcer)
     is_cluster = graph.cluster_mask
     n = graph.node_count
-    hard_cap = max(n * (n - 1) // 2, 1)
-    buf_len = initial_buffer_len(n)
+    informed = np.zeros(n, dtype=np.bool_)
+    # count of informed forwarding neighbors; > 0 marks frontier membership
+    counts = np.zeros(n, dtype=np.int64)
+    out_times = np.full(n, -1.0)
+    origin = graph.cluster if is_cluster[announcer] else np.array([announcer])
+    informed[origin] = True
+    out_times[origin] = 0.0
+    for m in origin[forwards[origin]]:
+        counts[graph.indices[graph.indptr[m] : graph.indptr[m + 1]]] += 1
+
+    rng = np.random.default_rng(seed)
+    chunk = 8 * n
+    unit_exp = unit_exponential_buffer(rng, chunk)
+    used, t = 0, 0.0
     while True:
-        unit_exp = unit_exponential_buffer(seed, buf_len)
-        out_times = np.full(n, -1.0)
-        status, consumed = kern(
-            graph.indptr,
-            graph.indices,
-            forwards,
-            graph.cluster,
-            is_cluster,
-            int(announcer),
-            unit_exp,
-            float(inv_lam),
-            out_times,
+        status, pos, t = kern(
+            graph.indptr, graph.indices, forwards, graph.cluster, is_cluster,
+            informed, counts, t, unit_exp, float(inv_lam), out_times,
         )
-        if status == STATUS_STUCK and policy == "strict":
-            raise UnreachableTopologyError(
-                f"announcement from node {announcer} cannot reach every node"
-            )
-        if status == STATUS_BUFFER_EXHAUSTED:
-            if buf_len >= hard_cap:
-                raise RuntimeError("exponential buffer exceeded its theoretical bound")
-            buf_len = min(buf_len * 2, hard_cap)
-            continue
-        return out_times, int(consumed)
+        used += pos
+        if status != STATUS_REFILL:
+            break
+        # a step needs at most n draws, so every refill completes one
+        unit_exp = np.concatenate((unit_exp[pos:], unit_exponential_buffer(rng, chunk)))
+    if status == STATUS_STUCK and policy == "strict":
+        raise UnreachableTopologyError(
+            f"announcement from node {announcer} cannot reach every node"
+        )
+    return out_times, used

@@ -293,6 +293,7 @@ def _profile_rows(spec: TopologySpec, degenerate: str) -> np.ndarray:
             values[:, i] = column
         return values
     degrees = _flat_degrees(spec)
+    _check_flat_degrees(degrees, params)
     for x in range(steps + 1):
         values[x] = degrees[informed_counts_row(x, params) - 1]
     return values

@@ -53,33 +53,35 @@ def _list_of(convert):
     return parse
 
 
-# config-file keys and how to convert their raw string values; keys a
-# subcommand does not define are skipped so one file can serve several
-# subcommands
-_CONVERTERS = {
-    "family": str, "n": int, "k": int, "lam": float, "p_edge": float,
-    "mu_d": float, "cv_d": float, "d_min": int, "d_max": int, "exponent": float,
-    "fractions": _list_of(float), "runs": int, "seed": int, "policy": str,
-    "format": str, "out": str, "announcer": str, "trace": str,
-    "n1": int, "n2": int, "k1": int, "p11": float, "p12": float, "p22": float,
-    "p22_values": _list_of(float), "k1_values": _list_of(int), "degenerate": str,
-}
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill options not given as flags from the --config file.
 
-
-def _apply_config(args: argparse.Namespace) -> None:
+    Each value goes through its flag's own type and choices.  A key that
+    names no subcommand's option (or names --config itself) is an error;
+    one that only another subcommand defines is skipped, so one file can
+    serve several subcommands.
+    """
     if getattr(args, "config", None) is None:
         return
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    own = {a.dest: a for a in commands[args.command]._actions}
+    known = {a.dest for sub in commands.values() for a in sub._actions}
+    known -= {"help", "config"}
     for key, raw in parse_config(args.config).items():
         attr = key.replace("-", "_")
-        if attr not in _CONVERTERS:
+        if attr not in known:
             raise DomainError(f"unknown config key {key!r}")
-        if not hasattr(args, attr):
+        if attr not in own or getattr(args, attr) is not None:
             continue
-        if getattr(args, attr) is None:
-            try:
-                setattr(args, attr, _CONVERTERS[attr](raw))
-            except argparse.ArgumentTypeError as exc:
-                raise DomainError(f"config key {key!r}: {exc}") from exc
+        action = own[attr]
+        try:
+            value = action.type(raw) if action.type else raw
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise DomainError(f"config key {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(action.choices)
+            raise DomainError(f"config key {key!r}: {value!r} is not one of {choices}")
+        setattr(args, attr, value)
 
 
 def _get(args: argparse.Namespace, name: str, default):
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         return args.handler(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

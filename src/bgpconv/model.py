@@ -185,32 +185,27 @@ def informed_count(ctx: StepContext, params: ModelParams) -> int:
 def p_sdn(x: int, params: ModelParams) -> float:
     """Probability that the SDN cluster is first reached at step x.
 
-    Equals (k / (N - x)) * prod_{j=0}^{x-1} (1 - k / (N - j)); the empty
-    product makes p_sdn(0) = k/N.  Derived from uniformly random
-    informing order, which also underlies the enumeration oracle used in
-    the tests.
+    Entry x of p_sdn_distribution.
     """
     steps = params.steps
     if not 0 <= x <= steps:
         raise DomainError(f"x must be in [0, {steps}], got {x}")
-    n, k = params.n_total, params.k_cluster
-    prod = 1.0
-    for j in range(x):
-        prod *= 1.0 - k / (n - j)
-    return (k / (n - x)) * prod
+    return float(p_sdn_distribution(params)[x])
 
 
 def p_sdn_distribution(params: ModelParams) -> np.ndarray:
     """Vector of p_sdn(x) for x in [0, N-k]; sums to 1 within 1e-9.
 
-    The running product is a cumulative product, which multiplies in
-    the same order as p_sdn's loop.
+    Under a uniformly random informing order (which also underlies the
+    enumeration oracle used in the tests), the first cluster member is
+    informed at position x + 1 with probability C(N-1-x, k-1) / C(N, k).
+    That is P(0) = k/N and P(x+1) = P(x) * (N-k-x) / (N-1-x), evaluated
+    as one cumulative product; at k = 1 every ratio is exactly 1.0, so
+    every entry is exactly 1/N.
     """
     n, k = params.n_total, params.k_cluster
-    hit = k / (n - np.arange(params.steps + 1, dtype=np.int64))
-    out = hit.copy()
-    out[1:] *= np.cumprod(1.0 - hit[:-1])
-    return out
+    x = np.arange(params.steps, dtype=np.int64)
+    return np.cumprod(np.concatenate(([k / n], (n - k - x) / (n - 1 - x))))
 
 
 def informed_counts_row(x: int, params: ModelParams) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Runs are reproducible: run r under master seed s derives its RNG state
 from SeedSequence((s, r)), split into one child for announcer choice
-and one for the exponential waiting-time buffer.  Changing the number
-of runs therefore never perturbs earlier runs, and batches could be
-farmed out run-by-run without shared RNG state.
+and one for the run's stream of exponential waiting times.  Changing
+the number of runs therefore never perturbs earlier runs, and batches
+could be farmed out run-by-run without shared RNG state.
 """
 
 from __future__ import annotations
@@ -116,13 +116,13 @@ def _run_times(
 ) -> tuple[int, np.ndarray]:
     """Resolve the run's announcer and produce per-node informed times."""
     run_ss = np.random.SeedSequence((int(cfg.seed), int(run_index)))
-    ann_child, buf_child = run_ss.spawn(2)
+    ann_child, clock_child = run_ss.spawn(2)
     if isinstance(cfg.announcer, str):
         origin = draw_announcer(np.random.default_rng(ann_child), cfg.graph)
     else:
         origin = _check_announcer(cfg.graph, cfg.announcer)
     times, _ = run_dissemination(
-        cfg.graph, origin, 1.0 / float(cfg.lam), buf_child, backend, cfg.policy
+        cfg.graph, origin, 1.0 / float(cfg.lam), clock_child, backend, cfg.policy
     )
     return origin, times
 

@@ -348,10 +348,11 @@ def test_clamp_mode_substitutes_full_mesh_tail():
 
 def test_poisson_disconnected_raises_in_both_modes():
     spec = Poisson(ModelParams(8, 2, 1.0), 0.0)
-    for mode in ("error", "clamp"):
-        with pytest.raises(ModelDegenerateError) as exc:
-            convergence_time(spec, degenerate=mode)
-        assert (exc.value.step, exc.value.sdn_hit_step, exc.value.value) == (1, 0, 0.0)
+    for evaluate in (convergence_time, degree_profile):
+        for mode in ("error", "clamp"):
+            with pytest.raises(ModelDegenerateError) as exc:
+                evaluate(spec, degenerate=mode)
+            assert (exc.value.step, exc.value.sdn_hit_step, exc.value.value) == (1, 0, 0.0)
 
 
 # ------------------------------------------------------------- structure

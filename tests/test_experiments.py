@@ -348,6 +348,17 @@ def test_cli_unknown_config_key_is_domain_error(tmp_path, capsys):
     assert run_cli("analytic", "--config", str(cfg)) == 2
 
 
+def test_cli_config_values_obey_the_flags_choices(tmp_path, capsys):
+    cfg = tmp_path / "bad-format.cfg"
+    cfg.write_text("family = full-mesh\nn = 10\nformat = xml\n")
+    assert run_cli("analytic", "--config", str(cfg)) == 2
+    assert "format" in capsys.readouterr().err
+    cfg = tmp_path / "bad-policy.cfg"
+    cfg.write_text("family = full-mesh\nn = 12\nruns = 3\npolicy = bogus\n")
+    assert run_cli("simulate", "--config", str(cfg)) == 2
+    assert "policy" in capsys.readouterr().err
+
+
 def test_cli_unreachable_exit_code(capsys):
     code = run_cli(
         "simulate", "--family", "poisson", "--n", "40", "--p-edge", "0.001",

@@ -87,6 +87,15 @@ def test_hit_distribution_sums_for_random_cluster_sizes(k):
     assert abs(math.fsum(dist) - 1.0) <= 1e-9
 
 
+def test_hit_distribution_is_exactly_uniform_for_one_member():
+    # k = 1: every ratio (N-1-x)/(N-1-x) is exactly 1.0, so no drift
+    n = 75_000
+    dist = p_sdn_distribution(ModelParams(n, 1, 1.0))
+    assert dist.size == n
+    assert (dist == 1 / n).all()
+    assert p_sdn(n - 1, ModelParams(n, 1, 1.0)) == 1 / n
+
+
 def test_log_space_path_agrees_with_direct_product():
     # above the size cutoff the implementation moves to log space; the
     # answer must still match the plain product formula for small x

@@ -6,6 +6,7 @@ file runs the same checks at smaller n plus the structural and
 determinism properties that must hold run by run.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,10 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bgpconv.graphs as gg
+import bgpconv._kernels as kernels
 from bgpconv._kernels import (
-    HAS_NUMBA,
     active_backend,
-    initial_buffer_len,
     run_dissemination,
     unit_exponential_buffer,
 )
@@ -266,22 +266,42 @@ def test_announcer_policy_validation():
 
 # --------------------------------------------------------------- backends
 
-def test_backends_are_bit_identical():
-    if not HAS_NUMBA:
-        pytest.skip("compiled backend unavailable")
+def star_graph(n):
+    """Star on n nodes centred at 0, with node 5 a one-member cluster."""
+    u = np.zeros(n - 1, dtype=np.int64)
+    v = np.arange(1, n, dtype=np.int64)
+    return gg.from_edges(n, u, v, cluster=np.array([5]))
+
+
+def sparse_large():
+    """Poisson n=3000 at its max-degree announcer: consumption far past 8n."""
+    g = gg.gen_poisson(ModelParams(3000, 30), 0.004, 1)
+    return g, int(np.argmax(g.degrees))
+
+
+def test_backends_are_bit_identical(monkeypatch):
+    # the compiled kernel's logic runs un-jitted here, so the check holds
+    # without numba; with numba the compiled kernel is checked as well
+    scalar = [kernels._scalar_kernel]
+    if kernels.HAS_NUMBA:
+        scalar.append(kernels._scalar_kernel_jit)
     cases = [
-        gg.gen_full_mesh(ModelParams(25, 3, 1.0), 1),
-        gg.gen_poisson(ModelParams(60, 5, 1.0), 0.15, 2),
-        gg.gen_tiered_core(TIERED, 3),
+        (gg.gen_full_mesh(ModelParams(25, 3, 1.0), 1), 0),
+        (gg.gen_poisson(ModelParams(60, 5, 1.0), 0.15, 2), 0),
+        (gg.gen_tiered_core(TIERED, 3), 21),
+        (star_graph(2100), 1),
+        sparse_large(),
     ]
-    for g in cases:
-        ann = 21 if g.is_tiered else 0
-        t_nb, used_nb = run_dissemination(g, ann, 1.0, 909, backend="numba",
-                                          policy="reachable-only")
-        t_np, used_np = run_dissemination(g, ann, 1.0, 909, backend="numpy",
-                                          policy="reachable-only")
-        np.testing.assert_array_equal(t_nb, t_np)
-        assert used_nb == used_np
+    monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+    for kernel in scalar:
+        monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernel)
+        for g, ann in cases:
+            t_sc, used_sc = run_dissemination(g, ann, 1.0, 909, backend="numba",
+                                              policy="reachable-only")
+            t_np, used_np = run_dissemination(g, ann, 1.0, 909, backend="numpy",
+                                              policy="reachable-only")
+            np.testing.assert_array_equal(t_sc, t_np)
+            assert used_sc == used_np
 
 
 def test_backend_env_selection(monkeypatch):
@@ -305,29 +325,41 @@ def test_env_selected_backend_matches_explicit(monkeypatch):
 # ------------------------------------------------------- draw bookkeeping
 
 def test_unit_exponential_buffer_prefix_stable():
-    long = unit_exponential_buffer(123, 1000)
-    short = unit_exponential_buffer(123, 100)
-    np.testing.assert_array_equal(long[:100], short)
+    # chunks drawn from one Generator equal one long draw
+    rng = np.random.default_rng(123)
+    chunks = [unit_exponential_buffer(rng, m) for m in (100, 1, 399, 500)]
+    long = unit_exponential_buffer(np.random.default_rng(123), 1000)
+    np.testing.assert_array_equal(np.concatenate(chunks), long)
     assert (long > 0).all()
 
 
 def test_buffer_regrows_when_a_run_consumes_past_the_estimate():
     # star on 2100 nodes, announced from a leaf: the frontier stays huge
-    # for thousands of steps, so consumption (about n^2/2 draws) blows
-    # through the initial 8n allocation and forces regeneration
+    # for thousands of steps, so consumption (about n^2/2 draws) runs far
+    # past the first 8n-draw chunk and the kernel resumes on refills
     n = 2100
-    u = np.zeros(n - 1, dtype=np.int64)
-    v = np.arange(1, n, dtype=np.int64)
-    g = gg.from_edges(n, u, v, cluster=np.array([5]))
+    g = star_graph(n)
     times, consumed = run_dissemination(g, 1, 1.0, 77)
-    assert consumed > initial_buffer_len(n)
+    assert consumed > 8 * n
     assert np.isfinite(times).all()
     times_np, consumed_np = run_dissemination(g, 1, 1.0, 77, backend="numpy")
     np.testing.assert_array_equal(times, times_np)
     assert consumed == consumed_np
 
 
-def test_initial_buffer_sizes():
-    assert initial_buffer_len(4) == 6
-    assert initial_buffer_len(2048) == 2048 * 2047 // 2
-    assert initial_buffer_len(2049) == 8 * 2049
+@pytest.mark.parametrize(
+    "case,digest,draws",
+    [
+        ("star", "4603a1f7f5f304336d168123241361c1f8420c5f20cd70f40f2c41012b7d0d2b",
+         2_201_852),
+        ("poisson", "91dba291ee87d6206848c4be450db472881340be32ba825fd4f9910510dda097",
+         3_762_938),
+    ],
+)
+def test_refill_path_keeps_the_stream(case, digest, draws):
+    # times (exact bytes) and draws used, as a run whose one buffer holds
+    # every draw gives them: each refill must continue the same stream
+    g, ann = (star_graph(2100), 1) if case == "star" else sparse_large()
+    times, used = run_dissemination(g, ann, 1.0, 77, backend="numpy")
+    assert hashlib.sha256(times.tobytes()).hexdigest() == digest
+    assert used == draws
