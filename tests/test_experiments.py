@@ -5,6 +5,7 @@ verbatim, so the column list and the 9-significant-digit float rendering
 are pinned byte-for-byte here.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -405,6 +406,18 @@ SINGLE_RECORD_COMMANDS = {
         "--runs", "20", "--seed", "3",
     ),
     "import-graph": ("import-graph", "--in", "{graph}"),
+    "simulate-poisson-reachable-only": (
+        "simulate", "--family", "poisson", "--n", "30", "--p-edge", "0.08",
+        "--k", "2", "--runs", "20", "--seed", "1", "--policy", "reachable-only",
+    ),
+    "simulate-tiered": (
+        "simulate", "--family", "tiered", "--n1", "8", "--n2", "30",
+        "--runs", "20", "--seed", "3",
+    ),
+    "simulate-tiered-reachable-only": (
+        "simulate", "--family", "tiered", "--n1", "8", "--n2", "30",
+        "--runs", "20", "--seed", "3", "--policy", "reachable-only",
+    ),
 }
 
 # stdout of each single-record command, byte for byte
@@ -444,6 +457,19 @@ SINGLE_RECORD_BYTES = {
         '{\n  "nodes": 10,\n  "edges": 13,\n  "cluster_size": 2,\n'
         '  "tiered": "true"\n}\n'
     ),
+    ("simulate-poisson-reachable-only", "text"): (
+        "runs = 20\nmean = 5.88157201\nstd_dev = 1.45092643\n"
+        "std_err = 0.324437012\nci_low = 5.24567546\nci_high = 6.51746855\n"
+    ),
+    # the default announcer is pinned to the one the reachable draw certified
+    ("simulate-tiered", "text"): (
+        "runs = 20\nmean = 5.71855248\nstd_dev = 1.25104205\n"
+        "std_err = 0.279741506\nci_low = 5.17025913\nci_high = 6.26684583\n"
+    ),
+    ("simulate-tiered-reachable-only", "text"): (
+        "runs = 20\nmean = 4.95313091\nstd_dev = 1.71776945\n"
+        "std_err = 0.384104927\nci_low = 4.20028526\nci_high = 5.70597657\n"
+    ),
 }
 
 
@@ -454,6 +480,47 @@ def test_cli_single_record_output_bytes(command, fmt, tmp_path, capsys):
     argv = [a.format(graph=graph) for a in SINGLE_RECORD_COMMANDS[command]]
     assert run_cli(*argv, "--format", fmt) == 0
     assert capsys.readouterr().out == SINGLE_RECORD_BYTES[command, fmt]
+
+
+# sha256 of the stdout of small sweep and core grids under both policies
+GRID_COMMANDS = {
+    "sweep-poisson-regenerate": (
+        ("sweep", "--family", "poisson", "--n", "40", "--p-edge", "0.15",
+         "--fractions", "0.2,0.6", "--runs", "20", "--seed", "4"),
+        "fa38135d8551fc57c23ade8e31d7ce96ec219c3b27c5782f59fe2632aefff38e",
+    ),
+    "sweep-poisson-reachable-only": (
+        ("sweep", "--family", "poisson", "--n", "40", "--p-edge", "0.06",
+         "--fractions", "0.2,0.6", "--runs", "20", "--seed", "4",
+         "--policy", "reachable-only"),
+        "12855c35b03227d6232ef9d3023f04941f2f05cbf7ee963b081faff1cae90da2",
+    ),
+    "sweep-config-reachable-only": (
+        ("sweep", "--family", "config-model", "--n", "40", "--d-min", "1",
+         "--d-max", "8", "--exponent", "2.2", "--fractions", "0.1,0.5",
+         "--runs", "20", "--seed", "2", "--policy", "reachable-only"),
+        "f07921ebf2caa30fa3e1f11e539360579b3a1c31de1300dae2d4932e87256d10",
+    ),
+    "core-regenerate": (
+        ("core", "--n1", "6", "--n2", "20", "--p22-values", "0.1,0.4",
+         "--k1-values", "1,3", "--runs", "30", "--seed", "2"),
+        "2eaa977451ff28bdfa22ff96563eda88efd3b6874dbadb9f012882f661d16ea8",
+    ),
+    "core-reachable-only": (
+        ("core", "--n1", "6", "--n2", "20", "--p12", "0.2", "--p22-values",
+         "0.1,0.4", "--k1-values", "1,3", "--runs", "30", "--seed", "2",
+         "--policy", "reachable-only"),
+        "f33f792cb29d41b4ed6034b1c8248e136674861eee80f9c18f3e48749e0bbdd4",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+def test_cli_grid_output_digest(command, capsys):
+    argv, digest = GRID_COMMANDS[command]
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_cli_core_reports_best_k1(capsys):
