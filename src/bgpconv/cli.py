@@ -15,22 +15,23 @@ Exit codes: 0 success, 2 domain error, 3 unreachable topology, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-
-import numpy as np
 
 from .analytic import convergence_time, core_convergence_time
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .experiments import (
     DEFAULT_FRACTIONS,
+    RUN_POLICY,
     SweepSpec,
+    draw_point,
     emit,
     parse_config,
     power_law_config_spec,
     run_case_study,
     run_sweep,
 )
-from .graphs import ensure_reachable, export_graph, gen_graph, import_graph
+from .graphs import export_graph, gen_graph, import_graph
 from .model import ConfigModel, FullMesh, ModelParams, Poisson, TieredCore
 from .simulate import RunConfig, derive_seed, format_trace, simulate_batch, simulate_once
 
@@ -51,6 +52,18 @@ def _list_of(convert):
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return parse
+
+
+def _announcer(text: str):
+    """argparse type: 'uniform' or a node id."""
+    if text == "uniform":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'uniform' or a node id, got {text!r}"
+        ) from None
 
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -149,15 +162,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     fmt = _get(args, "format", "text")
     seed = int(_get(args, "seed", 0))
     if getattr(args, "family", None) == "tiered":
-        est = core_convergence_time(_tiered_spec(args))
-        record = {
-            "t_peering": est.t_peering,
-            "t_x_tier1": est.t_x_tier1,
-            "t_tier1": est.t_tier1,
-            "t_tier1_tier2": est.t_tier1_tier2,
-            "t_transit": est.t_transit,
-            "t_total": est.t_total,
-        }
+        record = dataclasses.asdict(core_convergence_time(_tiered_spec(args)))
     else:
         spec = _flat_spec(args, int(_get(args, "k", 1)), seed, need_graph=False)
         est = convergence_time(spec, degenerate=_get(args, "degenerate", "error"))
@@ -176,36 +181,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         spec = _flat_spec(args, int(_get(args, "k", 1)), seed, need_graph=True)
 
-    graph_seed = derive_seed(seed, 1)
-    drawn_announcer = None
-    if policy == "regenerate":
-        draw = ensure_reachable(spec, graph_seed)
-        graph = draw.graph
-        drawn_announcer = draw.announcer
-    else:
-        graph = gen_graph(spec, np.random.SeedSequence((graph_seed, 0)))
-
-    raw_announcer = _get(args, "announcer", None)
-    if raw_announcer is None:
-        # tiered reachability was certified for one specific announcer,
-        # so pin it; flat coverage is announcer-independent
-        if graph.is_tiered and drawn_announcer is not None:
-            announcer = drawn_announcer
-        else:
-            announcer = "uniform"
-    elif raw_announcer == "uniform":
-        announcer = "uniform"
-    else:
-        announcer = int(raw_announcer)
-
-    run_policy = "strict" if policy == "regenerate" else "reachable-only"
+    graph, drawn = draw_point(spec, derive_seed(seed, 1), policy)
+    announcer = _get(args, "announcer", None)
+    if announcer is None:
+        # a regenerated tiered draw is certified reachable from its own
+        # announcer only, so pin it; flat coverage is announcer-independent
+        announcer = drawn if graph.is_tiered and policy == "regenerate" else "uniform"
     cfg = RunConfig(
         graph, announcer, float(_get(args, "lam", 1.0)), derive_seed(seed, 2),
-        run_policy,
+        RUN_POLICY[policy],
     )
-    batch = simulate_batch(
-        cfg, runs, "uniform-per-run" if announcer == "uniform" else "fixed"
-    )
+    batch = simulate_batch(cfg, runs)
     if getattr(args, "trace", None) is not None:
         with open(args.trace, "w", encoding="ascii") as fh:
             fh.write(format_trace(simulate_once(cfg, run_index=0)))
@@ -292,7 +278,7 @@ def _add_common(sub: argparse.ArgumentParser, with_policy: bool = True) -> None:
                      help="output format")
     sub.add_argument("--out", help="write output to this path instead of stdout")
     if with_policy:
-        sub.add_argument("--policy", choices=("regenerate", "reachable-only"),
+        sub.add_argument("--policy", choices=tuple(RUN_POLICY),
                          help="unreachable draws: redraw, or cover what is reachable")
     sub.add_argument("--config", help="flat key = value option file")
 
@@ -350,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="Monte Carlo batch on one topology")
     _add_flat_family(p, tiered_ok=True)
-    p.add_argument("--announcer", help="node id or 'uniform' (redraw per run)")
+    p.add_argument("--announcer", type=_announcer,
+                   help="node id or 'uniform' (redraw per run)")
     p.add_argument("--trace", help="write run 0's event trace to this path")
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)

@@ -22,19 +22,13 @@ from ._kernels import run_dissemination
 from .analytic import convergence_time, core_convergence_time
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .graphs import (
+    Graph,
     draw_announcer,
     ensure_reachable,
     gen_graph,
     gen_power_law_degrees,
 )
-from .model import (
-    ConfigModel,
-    FullMesh,
-    ModelParams,
-    Poisson,
-    TieredCore,
-    TopologySpec,
-)
+from .model import ConfigModel, ModelParams, TieredCore, TopologySpec
 from .simulate import RunConfig, RunStats, derive_seed, simulate_batch
 
 _GRAPH_SALT = 1
@@ -44,6 +38,26 @@ _DEGSEQ_SALT = 3
 # k = 0 is outside the model, so the 0.0 label maps to k = 1 (the
 # no-effective-centralization baseline).
 DEFAULT_FRACTIONS = tuple(round(i / 10, 1) for i in range(11))
+
+# The simulator policy for each reachability policy: a regenerated draw
+# reaches every node, so its runs must cover them all.
+RUN_POLICY = {"regenerate": "strict", "reachable-only": "reachable-only"}
+
+
+def draw_point(spec: TopologySpec, seed: int, policy: str) -> tuple[Graph, int]:
+    """One topology draw and a uniform announcer on it.
+
+    "regenerate" redraws until the announcer reaches every node
+    (ensure_reachable); "reachable-only" keeps attempt 0 of that same
+    stream, reachable or not.  Either way the announcer is drawn from
+    the graph's Generator right after the graph.
+    """
+    if policy == "regenerate":
+        draw = ensure_reachable(spec, seed)
+        return draw.graph, draw.announcer
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
+    graph = gen_graph(spec, rng)
+    return graph, draw_announcer(rng, graph)
 
 
 def fraction_to_k(n_total: int, fraction: float) -> int:
@@ -76,15 +90,16 @@ def power_law_config_spec(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A penetration sweep over one topology template.
+    """A penetration sweep over one flat topology template.
 
     sweep_values are k/N fractions; the template's cluster size is
-    replaced point by point.
+    replaced point by point, so a configuration-model template must
+    carry a concrete degree sequence.  p22/k1 grids over a tiered core
+    belong to run_case_study.
     """
 
     topology: TopologySpec
     sweep_values: tuple[float, ...] = DEFAULT_FRACTIONS
-    sweep_variable: str = "k"
     runs_per_point: int = 200
     master_seed: int = 0
     policy: str = "regenerate"
@@ -92,16 +107,14 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.sweep_values:
             raise DomainError("sweep needs at least one value")
-        if self.sweep_variable != "k":
-            raise DomainError(
-                "run_sweep varies k only; p22/k1 grids belong to run_case_study"
-            )
         if self.runs_per_point < 1:
             raise DomainError("runs_per_point must be >= 1")
-        if self.policy not in ("regenerate", "reachable-only"):
+        if self.policy not in RUN_POLICY:
             raise DomainError(f"unknown policy {self.policy!r}")
         if isinstance(self.topology, TieredCore):
             raise DomainError("penetration sweeps need a flat topology template")
+        if isinstance(self.topology, ConfigModel) and self.topology.degree_seq is None:
+            raise DomainError("sweep over a config model needs a degree sequence")
         for v in self.sweep_values:
             if not 0.0 <= float(v) <= 1.0:
                 raise DomainError(f"sweep value {v} outside [0, 1]")
@@ -122,20 +135,6 @@ class ComparisonRow:
     error: str | None = None
 
 
-def _respec_k(template: TopologySpec, k: int) -> TopologySpec:
-    base = template.params
-    params = ModelParams(base.n_total, k, base.lam)
-    if isinstance(template, FullMesh):
-        return FullMesh(params)
-    if isinstance(template, Poisson):
-        return Poisson(params, template.p_edge)
-    if isinstance(template, ConfigModel):
-        if template.degree_seq is None:
-            raise DomainError("sweep over a config model needs a degree sequence")
-        return ConfigModel(params, degree_seq=template.degree_seq)
-    raise DomainError(f"cannot sweep over {type(template).__name__}")
-
-
 def _rel_error(analytic: float, sim_mean: float) -> float:
     if sim_mean == 0.0:
         return 0.0 if analytic == 0.0 else math.inf
@@ -152,18 +151,14 @@ def run_sweep(spec: SweepSpec, backend: str | None = None) -> list[ComparisonRow
     A failing point is recorded in-row and the sweep continues.
     """
     rows: list[ComparisonRow] = []
-    n_total = spec.topology.params.n_total
-    run_policy = "strict" if spec.policy == "regenerate" else "reachable-only"
+    template = spec.topology
     for i, fraction in enumerate(sorted(float(v) for v in spec.sweep_values)):
         try:
-            point = _respec_k(spec.topology, fraction_to_k(n_total, fraction))
-            graph_seed = derive_seed(spec.master_seed, i, _GRAPH_SALT)
-            if spec.policy == "regenerate":
-                graph = ensure_reachable(point, graph_seed).graph
-            else:
-                graph = gen_graph(
-                    point, np.random.SeedSequence((graph_seed, 0))
-                )
+            k = fraction_to_k(template.params.n_total, fraction)
+            point = replace(template, params=replace(template.params, k_cluster=k))
+            graph, _ = draw_point(
+                point, derive_seed(spec.master_seed, i, _GRAPH_SALT), spec.policy
+            )
             if isinstance(point, ConfigModel):
                 mu_d, cv_d = graph.degree_stats()
                 estimate = convergence_time(
@@ -178,7 +173,7 @@ def run_sweep(spec: SweepSpec, backend: str | None = None) -> list[ComparisonRow
                 "uniform",
                 point.params.lam,
                 derive_seed(spec.master_seed, i, _SIM_SALT),
-                run_policy,
+                RUN_POLICY[spec.policy],
             )
             stats = simulate_batch(cfg, spec.runs_per_point, backend=backend).stats
             rows.append(
@@ -248,22 +243,14 @@ def _case_study_point(
     inv_lam = 1.0 / float(spec_pt.lam)
     times = np.empty(runs, dtype=np.float64)
     for r in range(runs):
-        reach_seed = derive_seed(master_seed, point_index, r, _GRAPH_SALT)
-        buf_seed = derive_seed(master_seed, point_index, r, _SIM_SALT)
-        if policy == "regenerate":
-            draw = ensure_reachable(spec_pt, reach_seed)
-            node_times, _ = run_dissemination(
-                draw.graph, draw.announcer, inv_lam, buf_seed, backend
-            )
-            times[r] = node_times.max()
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence((reach_seed, 0)))
-            graph = gen_graph(spec_pt, rng)
-            origin = draw_announcer(rng, graph)
-            node_times, _ = run_dissemination(
-                graph, origin, inv_lam, buf_seed, backend, policy="reachable-only"
-            )
-            times[r] = node_times[node_times >= 0.0].max()
+        graph, origin = draw_point(
+            spec_pt, derive_seed(master_seed, point_index, r, _GRAPH_SALT), policy
+        )
+        node_times, _ = run_dissemination(
+            graph, origin, inv_lam, derive_seed(master_seed, point_index, r, _SIM_SALT),
+            backend, RUN_POLICY[policy],
+        )
+        times[r] = node_times[node_times >= 0.0].max()
     return RunStats.from_times(times)
 
 
@@ -285,7 +272,7 @@ def run_case_study(
     """
     if runs_per_point < 1:
         raise DomainError("runs_per_point must be >= 1")
-    if policy not in ("regenerate", "reachable-only"):
+    if policy not in RUN_POLICY:
         raise DomainError(f"unknown policy {policy!r}")
     if not p22_values or not k1_values:
         raise DomainError("case study needs nonempty p22 and k1 grids")

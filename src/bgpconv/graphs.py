@@ -132,8 +132,10 @@ def from_edges(
 ) -> Graph:
     """Build a Graph from undirected edge endpoint arrays.
 
-    Rejects self loops and duplicate edges rather than repairing them;
-    generators are responsible for producing simple edge sets.
+    Rejects self loops, duplicate edges, and cluster nodes that are out
+    of range, repeated, or (on tiered graphs) outside tier-1, rather
+    than repairing them; generators are responsible for producing simple
+    edge sets.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -167,12 +169,19 @@ def from_edges(
     np.cumsum(counts, out=indptr[1:])
     if roles is None:
         roles = np.full(node_count, ROLE_FLAT, dtype=np.uint8)
+    roles = np.asarray(roles, dtype=np.uint8)
     cluster_arr = np.array(sorted(int(c) for c in cluster), dtype=np.int64)
+    if cluster_arr.size and (cluster_arr[0] < 0 or cluster_arr[-1] >= node_count):
+        raise DomainError("cluster node out of range")
+    if np.any(np.diff(cluster_arr) == 0):
+        raise DomainError("repeated cluster node")
+    if kinds is not None and np.any(roles[cluster_arr] != ROLE_TIER1):
+        raise DomainError("tiered cluster must lie in tier-1")
     return Graph(
         node_count=node_count,
         indptr=indptr,
         indices=dst,
-        roles=np.asarray(roles, dtype=np.uint8),
+        roles=roles,
         cluster=cluster_arr,
         kinds=half_kinds,
     )
@@ -191,31 +200,23 @@ def gen_full_mesh(params: ModelParams, seed: SeedLike) -> Graph:
     return from_edges(n, u.astype(np.int64), v.astype(np.int64), cluster=cluster)
 
 
-# Row block size for pair sampling; keeps memory bounded for large n
-# while consuming the RNG stream in the same row-major pair order as a
-# single full draw would.
-_PAIR_BLOCK_ROWS = 2048
-
-
 def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
-    """Independent-edge graph: each pair connected with probability p_edge."""
+    """Independent-edge graph: each pair connected with probability p_edge.
+
+    One uniform per pair, drawn a row at a time in row-major pair order.
+    """
     if not 0.0 <= p_edge <= 1.0:
         raise DomainError(f"p_edge must be in [0, 1], got {p_edge}")
     rng = as_generator(seed)
     n = params.n_total
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
-    for row_start in range(0, n, _PAIR_BLOCK_ROWS):
-        row_end = min(row_start + _PAIR_BLOCK_ROWS, n)
-        for u_node in range(row_start, row_end):
-            count = n - u_node - 1
-            if count <= 0:
-                continue
-            hit = rng.random(count) < p_edge
-            if hit.any():
-                vv = np.flatnonzero(hit).astype(np.int64) + u_node + 1
-                us.append(np.full(vv.size, u_node, dtype=np.int64))
-                vs.append(vv)
+    for u_node in range(n - 1):
+        hit = rng.random(n - u_node - 1) < p_edge
+        if hit.any():
+            vv = np.flatnonzero(hit).astype(np.int64) + u_node + 1
+            us.append(np.full(vv.size, u_node, dtype=np.int64))
+            vs.append(vv)
     u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
     cluster = _sample_cluster(rng, n, params.k_cluster)
@@ -427,15 +428,13 @@ def draw_announcer(rng: np.random.Generator, graph: Graph) -> int:
 
 
 def ensure_reachable(
-    spec: TopologySpec,
-    seed: int,
-    announcer: int | None = None,
-    max_retries: int = 100,
+    spec: TopologySpec, seed: int, max_retries: int = 100
 ) -> ReachableDraw:
     """Draw (graph, announcer) pairs until every node is reachable.
 
-    Each attempt uses a fresh sub-seed derived from (seed, attempt), so
-    the result is deterministic given the arguments.  Raises
+    Each attempt draws the graph, then a uniform announcer (draw_announcer),
+    from one Generator seeded by (seed, attempt), so the result is
+    deterministic given the arguments.  Raises
     UnreachableTopologyError after max_retries failures.  The failure
     count is returned (and logged) so callers can record the rejection
     rate of the underlying ensemble.
@@ -446,9 +445,7 @@ def ensure_reachable(
     for attempt in range(max_retries):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), attempt)))
         graph = gen_graph(spec, rng)
-        chosen = announcer if announcer is not None else draw_announcer(rng, graph)
-        if graph.is_tiered and graph.roles[chosen] != ROLE_TIER2:
-            raise DomainError(f"announcer {chosen} is not a tier-2 node")
+        chosen = draw_announcer(rng, graph)
         reached = reachable_set(graph, chosen)
         if reached.all():
             if failures:
@@ -498,6 +495,13 @@ def export_graph(graph: Graph, dest: Union[str, IO[str]]) -> None:
             fh.close()
 
 
+def _ints(tokens: list[str], line: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise DomainError(f"non-integer token in line: {line.rstrip()}") from None
+
+
 def import_graph(src: Union[str, IO[str]]) -> Graph:
     """Read the edge-list text format written by export_graph.
 
@@ -509,10 +513,13 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
     own = isinstance(src, str)
     fh = open(src, "r", encoding="ascii") if own else src
     try:
-        header = fh.readline().split()
+        line = fh.readline()
+        header = line.split()
         if len(header) != 2 or header[0] != "n":
             raise DomainError("expected header line 'n <count>'")
-        n = int(header[1])
+        (n,) = _ints(header[1:], line)
+        if n < 0:
+            raise DomainError(f"negative node count {n}")
         us: list[int] = []
         vs: list[int] = []
         kind_list: list[int] = []
@@ -525,12 +532,12 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
             if not parts:
                 continue
             if parts[0] == "cluster":
-                cluster = [int(p) for p in parts[1:]]
+                cluster = _ints(parts[1:], line)
                 saw_cluster = True
                 continue
             if len(parts) not in (2, 3):
                 raise DomainError(f"malformed edge line: {line.rstrip()}")
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _ints(parts[:2], line)
             us.append(a)
             vs.append(b)
             if len(parts) == 3:
@@ -562,6 +569,8 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
             kinds = np.asarray(kind_list, dtype=np.uint8)
             return from_edges(n, u_arr, v_arr, kinds=kinds, roles=roles, cluster=cluster)
         return from_edges(n, u_arr, v_arr, cluster=cluster)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"edge lists are ASCII text: {exc}") from None
     finally:
         if own:
             fh.close()

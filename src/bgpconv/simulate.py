@@ -165,25 +165,16 @@ class BatchResult:
 
 
 def simulate_batch(
-    cfg: RunConfig,
-    runs: int,
-    announcer_policy: str = "uniform-per-run",
-    backend: str | None = None,
+    cfg: RunConfig, runs: int, backend: str | None = None
 ) -> BatchResult:
     """Run many disseminations on the fixed graph in cfg.
 
-    announcer_policy "uniform-per-run" redraws the origin each run
-    (uniform over all nodes on flat graphs, over tier-2 nodes on tiered
-    ones); "fixed" uses cfg.announcer for every run.
+    cfg.announcer "uniform" redraws the origin each run (uniform over
+    all nodes on flat graphs, over tier-2 nodes on tiered ones); a node
+    id is the origin of every run.
     """
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
-    if announcer_policy not in ("uniform-per-run", "fixed"):
-        raise DomainError(f"unknown announcer policy {announcer_policy!r}")
-    if announcer_policy == "fixed" and isinstance(cfg.announcer, str):
-        raise DomainError("fixed announcer policy needs a concrete announcer node")
-    if announcer_policy == "uniform-per-run" and not isinstance(cfg.announcer, str):
-        cfg = RunConfig(cfg.graph, "uniform", cfg.lam, cfg.seed, cfg.policy)
     times = np.empty(runs, dtype=np.float64)
     announcers = np.empty(runs, dtype=np.int64)
     for r in range(runs):

@@ -22,10 +22,11 @@ from bgpconv.errors import DomainError
 from bgpconv.experiments import (
     CORE_COLUMNS,
     SWEEP_COLUMNS,
+    draw_point,
     fraction_to_k,
     power_law_config_spec,
 )
-from bgpconv.model import FullMesh, ModelParams, Poisson, TieredCore
+from bgpconv.model import ConfigModel, FullMesh, ModelParams, Poisson, TieredCore
 
 SWEEP_HEADER = "sweep_value,analytic,sim_mean,sim_std_err,rel_error,jensen_ok,runs,seed"
 
@@ -74,8 +75,8 @@ def test_sweep_rejects_bad_specs():
         bc.SweepSpec(TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0))
     with pytest.raises(DomainError):
         bc.SweepSpec(FullMesh(ModelParams(10, 1, 1.0)), sweep_values=(0.5, 2.0))
-    with pytest.raises(DomainError):
-        bc.SweepSpec(FullMesh(ModelParams(10, 1, 1.0)), sweep_variable="p_edge")
+    with pytest.raises(DomainError, match="degree sequence"):
+        bc.SweepSpec(ConfigModel(ModelParams(10, 1, 1.0), mu_d=3.0, cv_d=0.5))
 
 
 def test_sweep_continues_past_failed_points():
@@ -390,6 +391,55 @@ def test_cli_graph_round_trip(tmp_path, capsys):
     assert again.read_text() == text
     summary = capsys.readouterr().out
     assert "12" in summary
+
+
+@pytest.mark.parametrize("announcer_flag", [True, False])
+def test_cli_bad_announcer_is_a_usage_error(announcer_flag, tmp_path, capsys):
+    argv = ["simulate", "--family", "full-mesh", "--n", "8", "--runs", "3"]
+    if announcer_flag:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--announcer", "abc")
+        assert exc.value.code == 2
+    else:
+        cfg = tmp_path / "announcer.cfg"
+        cfg.write_text("announcer = abc\n")
+        assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert "abc" in capsys.readouterr().err
+    assert run_cli(*argv, "--announcer", "5") == 0
+
+
+def test_cli_import_graph_rejects_malformed_files(tmp_path, capsys):
+    cases = {
+        "n abc\ncluster 0\n": "non-integer",
+        "n 4\n2 x\ncluster 0\n": "non-integer",
+        "n 4\n0 1\ncluster 0 z\n": "non-integer",
+        "n -3\ncluster\n": "negative",
+        "n 4\n0 1\ncluster 9\n": "out of range",
+        "n 4\n0 1\ncluster 0 0\n": "repeated",
+        "n 4\n0 1 peer11\n0 2 transit12\ncluster 2\n": "tier-1",
+        "n 4\n0 1\ncluster \u00e9\n": "ASCII",
+    }
+    path = tmp_path / "bad.graph"
+    for text, message in cases.items():
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("import-graph", "--in", str(path)) == 2, text
+        assert message in capsys.readouterr().err, text
+
+
+def test_reachable_only_keeps_attempt_zero_of_the_regenerate_stream():
+    # a full mesh is reachable on the first attempt, so both policies
+    # must return the same graph and announcer
+    spec = FullMesh(ModelParams(12, 3, 1.0))
+    for seed in range(5):
+        g_a, a = draw_point(spec, seed, "regenerate")
+        g_b, b = draw_point(spec, seed, "reachable-only")
+        assert a == b
+        np.testing.assert_array_equal(g_a.indices, g_b.indices)
+        np.testing.assert_array_equal(g_a.cluster, g_b.cluster)
+    # far below the connectivity threshold, attempt 0 is kept unreachable
+    sparse = Poisson(ModelParams(30, 1, 1.0), 0.02)
+    graph, origin = draw_point(sparse, 3, "reachable-only")
+    assert not bc.reachable_set(graph, origin).all()
 
 
 PINNED_GRAPH = (

@@ -241,7 +241,7 @@ def test_tiered_announcer_must_be_tier2():
 def test_tiered_uniform_announcers_stay_in_tier2():
     draw = gg.ensure_reachable(TIERED, 2)
     cfg = RunConfig(graph=draw.graph, seed=7)
-    res = simulate_batch(cfg, 30, announcer_policy="uniform-per-run")
+    res = simulate_batch(cfg, 30)
     assert (np.asarray(res.announcers) >= 20).all()
 
 
@@ -254,13 +254,7 @@ def test_tiered_without_transit_cannot_converge():
 
 
 def test_announcer_policy_validation():
-    cfg = mesh_cfg(6, 1, seed=0)
-    with pytest.raises(DomainError):
-        simulate_batch(cfg, 3, announcer_policy="fixed")  # no announcer given
-    with pytest.raises(DomainError):
-        simulate_batch(cfg, 3, announcer_policy="round-robin")
-    fixed = RunConfig(graph=cfg.graph, announcer=2, seed=0)
-    res = simulate_batch(fixed, 8, announcer_policy="fixed")
+    res = simulate_batch(mesh_cfg(6, 1, seed=0, announcer=2), 8)
     assert (np.asarray(res.announcers) == 2).all()
 
 
