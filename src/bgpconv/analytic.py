@@ -13,6 +13,13 @@ D(i|x) independent Exp(lam) clocks, so the step delay is
 config-model degrees are expectations substituted for the random degree
 (a convexity argument makes the resulting time an underestimate of the
 true mean for the exact model).
+
+Each family has one degree computation, vectorized over x.  Full mesh
+and Poisson: _flat_degrees gives D as a function of the informed count
+n alone, and D(i|x) = D(n(i|x)).  Config model: _config_columns runs
+the degree recurrence one step i at a time over every x.  Both
+convergence_time and the D(i|x) matrix behind
+ConvergenceEstimate.profile read these two.
 """
 
 from __future__ import annotations
@@ -30,10 +37,8 @@ from .model import (
     FullMesh,
     ModelParams,
     Poisson,
-    StepContext,
     TieredCore,
     TopologySpec,
-    informed_count,
     informed_counts_row,
     p_sdn_distribution,
 )
@@ -83,7 +88,7 @@ class ConvergenceEstimate:
     @cached_property
     def profile(self) -> BgpDegreeProfile:
         """The full D(i|x) matrix; O(N^2) memory, built on first access."""
-        return degree_profile(self.model, self.degenerate)
+        return BgpDegreeProfile(self.model, _profile_rows(self.model, self.degenerate))
 
 
 @dataclass(frozen=True)
@@ -105,23 +110,6 @@ class CoreEstimate:
             raise AssertionError("t_total is not the max of its branches")
 
 
-def degree_full_mesh(ctx: StepContext, params: ModelParams) -> int:
-    """Exact bgp-degree on the full mesh: every uninformed node is eligible."""
-    return params.n_total - informed_count(ctx, params)
-
-
-def degree_poisson(ctx: StepContext, params: ModelParams, p_edge: float) -> float:
-    """Expected bgp-degree on an edge-probability-p graph.
-
-    Each of the N - n uninformed nodes is adjacent to at least one of
-    the n informed nodes with probability 1 - (1 - p)^n.
-    """
-    if not 0.0 <= p_edge <= 1.0:
-        raise DomainError(f"p_edge must be in [0, 1], got {p_edge}")
-    n = informed_count(ctx, params)
-    return (params.n_total - n) * (1.0 - (1.0 - p_edge) ** n)
-
-
 def degree_config_first(x: int, params: ModelParams, mu_d: float) -> float:
     """Expected first-step bgp-degree on a config-model graph.
 
@@ -141,65 +129,6 @@ def degree_config_first(x: int, params: ModelParams, mu_d: float) -> float:
     if x > 0:
         return mu_d
     return (n - k) * mu_d * math.log(n / (n - k))
-
-
-def _config_row_raw(
-    x: int, params: ModelParams, mu_d: float, cv_d: float
-) -> np.ndarray:
-    """Raw closed-form config-model degree row D(.|x), no floor applied.
-
-    Evaluated through the running recurrence
-    D(i) = A(i-1) * D(i-1) + (mu_d(i-1) - 1),
-    which unrolls to the product-plus-sum closed form exactly.  The
-    mean residual degree mu_d(j) of the j-th informed node decays
-    because early steps preferentially reach high-degree nodes:
-    mu_d(j) = mu_d * prod_{m=1}^{j-1} (1 - cv_d^2 / (N - n(m|x) - 1)).
-    """
-    n_total, k = params.n_total, params.k_cluster
-    steps = params.steps
-    out = np.empty(steps, dtype=np.float64)
-    out[0] = degree_config_first(x, params, mu_d)
-    mu_j = mu_d
-    cv2 = cv_d * cv_d
-    for i in range(2, steps + 1):
-        j = i - 1
-        n_j = j if j <= x else j + k - 1
-        denom = n_total - n_j - 1  # n_j <= N - 2 for every step that exists
-        attenuation = 1.0 - mu_j / denom
-        out[i - 1] = attenuation * out[i - 2] + (mu_j - 1.0)
-        mu_j *= 1.0 - cv2 / denom
-    return out
-
-
-def config_degree_row(
-    x: int,
-    params: ModelParams,
-    mu_d: float,
-    cv_d: float,
-    degenerate: str = "error",
-) -> np.ndarray:
-    """Config-model degree row with degenerate-step handling.
-
-    degenerate="error": raise ModelDegenerateError at the first step
-    whose raw value falls below EPS_DEGREE.  degenerate="clamp": from
-    the first step whose raw value falls below TAIL_FLOOR, substitute
-    the exact full-mesh degree N - n(i|x) for the rest of the row.
-    """
-    row = _config_row_raw(x, params, mu_d, cv_d)
-    if degenerate == "error":
-        bad = np.flatnonzero(row < EPS_DEGREE)
-        if bad.size:
-            i = int(bad[0])
-            raise ModelDegenerateError(i + 1, x, float(row[i]))
-        return row
-    if degenerate == "clamp":
-        low = np.flatnonzero(row < TAIL_FLOOR)
-        if low.size:
-            i0 = int(low[0])
-            n_row = informed_counts_row(x, params)
-            row[i0:] = params.n_total - n_row[i0:]
-        return row
-    raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
 
 
 def _flat_degrees(spec: FullMesh | Poisson) -> np.ndarray:
@@ -236,13 +165,16 @@ def _check_flat_degrees(degrees: np.ndarray, params: ModelParams) -> None:
 def _config_columns(spec: ConfigModel, degenerate: str) -> Iterator[np.ndarray]:
     """Config-model degrees D(i|.) over every x in [0, N-k], one step i at a time.
 
-    Runs _config_row_raw's recurrence for all rows at once, with the same
-    IEEE operations in the same order per element, so each row equals
-    config_degree_row bit for bit.  Clamp mode switches a row to the
-    full-mesh degree N - n(i|x) from its first step below TAIL_FLOOR on;
-    error mode raises ModelDegenerateError at the first sub-floor entry
-    in row-major order, once no earlier row can produce one.  A yielded
-    column is valid until the next one is requested.
+    Runs the recurrence D(i) = A(i-1) * D(i-1) + (mu_d(i-1) - 1), with
+    A(j) = 1 - mu_d(j) / (N - n(j|x) - 1), for all rows at once.  The
+    mean residual degree mu_d(j) of the j-th informed node decays
+    because early steps preferentially reach high-degree nodes:
+    mu_d(j) = mu_d * prod_{m=1}^{j-1} (1 - cv_d^2 / (N - n(m|x) - 1)).
+    Clamp mode switches a row to the full-mesh degree N - n(i|x) from
+    its first step below TAIL_FLOOR on; error mode raises
+    ModelDegenerateError at the first sub-floor entry in row-major
+    order, once no earlier row can produce one.  A yielded column is
+    valid until the next one is requested.
     """
     if degenerate not in ("error", "clamp"):
         raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
@@ -280,9 +212,7 @@ def _config_columns(spec: ConfigModel, degenerate: str) -> Iterator[np.ndarray]:
         raise ModelDegenerateError(*bad)
 
 
-def _profile_rows(spec: TopologySpec, degenerate: str) -> np.ndarray:
-    if isinstance(spec, TieredCore):
-        raise DomainError("tiered-core has no flat degree profile; use core_convergence_time")
+def _profile_rows(spec: FullMesh | Poisson | ConfigModel, degenerate: str) -> np.ndarray:
     params = spec.params
     steps = params.steps
     values = np.empty((steps + 1, steps), dtype=np.float64)
@@ -299,18 +229,15 @@ def _profile_rows(spec: TopologySpec, degenerate: str) -> np.ndarray:
     return values
 
 
-def degree_profile(spec: TopologySpec, degenerate: str = "error") -> BgpDegreeProfile:
-    """Full D(i|x) matrix for a flat topology spec."""
-    return BgpDegreeProfile(model=spec, values=_profile_rows(spec, degenerate))
-
-
 def convergence_time(spec: TopologySpec, degenerate: str = "error") -> ConvergenceEstimate:
     """Expected convergence time E[T] for a flat topology spec.
 
     E[T] = (1/lam) * sum_x P_sdn(x) * sum_i 1 / D(i|x), with D(i|x)
     exact for the full mesh and an expectation for the random-graph
     families.  ``degenerate`` selects config-model handling of steps
-    where the closed form collapses (see config_degree_row).
+    where the closed form collapses: "error" raises at the first step
+    below EPS_DEGREE, "clamp" substitutes the exact full-mesh degree
+    from the first step below TAIL_FLOOR on (see _config_columns).
 
     Full mesh and Poisson: with f(n) = (1/lam) / D(n), each
     E[T|x] = sum_{n<=x} f(n) + sum_{n>=x+k} f(n), one prefix and one

@@ -141,7 +141,7 @@ def _rel_error(analytic: float, sim_mean: float) -> float:
     return abs(analytic - sim_mean) / sim_mean
 
 
-def run_sweep(spec: SweepSpec, backend: str | None = None) -> list[ComparisonRow]:
+def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
     """Evaluate analytic vs simulated convergence across the sweep.
 
     Each point draws one fixed graph (regenerated until reachable under
@@ -175,7 +175,7 @@ def run_sweep(spec: SweepSpec, backend: str | None = None) -> list[ComparisonRow
                 derive_seed(spec.master_seed, i, _SIM_SALT),
                 RUN_POLICY[spec.policy],
             )
-            stats = simulate_batch(cfg, spec.runs_per_point, backend=backend).stats
+            stats = simulate_batch(cfg, spec.runs_per_point).stats
             rows.append(
                 ComparisonRow(
                     sweep_value=fraction,
@@ -238,7 +238,6 @@ def _case_study_point(
     master_seed: int,
     point_index: int,
     policy: str,
-    backend: str | None,
 ) -> RunStats:
     inv_lam = 1.0 / float(spec_pt.lam)
     times = np.empty(runs, dtype=np.float64)
@@ -248,7 +247,7 @@ def _case_study_point(
         )
         node_times, _ = run_dissemination(
             graph, origin, inv_lam, derive_seed(master_seed, point_index, r, _SIM_SALT),
-            backend, RUN_POLICY[policy],
+            policy=RUN_POLICY[policy],
         )
         times[r] = node_times[node_times >= 0.0].max()
     return RunStats.from_times(times)
@@ -261,7 +260,6 @@ def run_case_study(
     runs_per_point: int = 5000,
     master_seed: int = 0,
     policy: str = "regenerate",
-    backend: str | None = None,
 ) -> CaseStudyResult:
     """Grid evaluation over (p22, k1) of the tiered-core model.
 
@@ -288,9 +286,7 @@ def run_case_study(
         try:
             spec_pt = replace(template, k1=k1, p22=p22)
             est = core_convergence_time(spec_pt)
-            stats = _case_study_point(
-                spec_pt, runs_per_point, master_seed, j, policy, backend
-            )
+            stats = _case_study_point(spec_pt, runs_per_point, master_seed, j, policy)
             partial.append((p22, k1, est, stats, None))
         except (*DOMAIN_ERRORS, UnreachableTopologyError) as exc:
             partial.append((p22, k1, None, None, f"{type(exc).__name__}: {exc}"))
@@ -341,15 +337,6 @@ def run_case_study(
     return CaseStudyResult(rows=tuple(rows), best_k1=best_k1)
 
 
-SWEEP_COLUMNS = (
-    "sweep_value", "analytic", "sim_mean", "sim_std_err",
-    "rel_error", "jensen_ok", "runs", "seed",
-)
-CORE_COLUMNS = (
-    "p22", "k1", "analytic_total", "analytic_peering", "analytic_transit",
-    "sim_mean", "sim_std_err", "rel_error", "runs", "seed", "beats_baseline",
-)
-
 EmitRows = Union[
     Sequence[ComparisonRow], Sequence[CoreRow], CaseStudyResult, Mapping[str, object]
 ]
@@ -379,11 +366,11 @@ def emit(rows: EmitRows, format: str = "csv", path: str | None = None) -> str:
     """Serialize result rows, or one record given as a mapping; optionally
     write them to path.
 
-    CSV sweep output carries exactly the pinned eight columns (failed
-    points serialize as nan); JSON mirrors the field names and adds the
-    per-row error marker, plus best_k1 for case-study results.  A
-    mapping serializes as one CSV line under its keys, one JSON object,
-    or, in any other format ("text"), `key = value` lines.
+    CSV columns are the row dataclass's fields without ``error``, in
+    field order (failed points serialize as nan); JSON mirrors the field
+    names and adds the per-row error marker, plus best_k1 for case-study
+    results.  A mapping serializes as one CSV line under its keys, one
+    JSON object, or, in any other format ("text"), `key = value` lines.
     """
     best_k1 = None
     if isinstance(rows, Mapping):
@@ -395,12 +382,9 @@ def emit(rows: EmitRows, format: str = "csv", path: str | None = None) -> str:
         rows = list(rows)
         if not rows:
             raise DomainError("no rows to emit")
-        if isinstance(rows[0], ComparisonRow):
-            columns = SWEEP_COLUMNS
-        elif isinstance(rows[0], CoreRow):
-            columns = CORE_COLUMNS
-        else:
+        if not isinstance(rows[0], (ComparisonRow, CoreRow)):
             raise DomainError(f"cannot emit rows of type {type(rows[0]).__name__}")
+        columns = tuple(f.name for f in fields(rows[0]) if f.name != "error")
         if any(not isinstance(r, type(rows[0])) for r in rows):
             raise DomainError("mixed row types in one emission")
         records = [{f.name: getattr(row, f.name) for f in fields(row)} for row in rows]

@@ -39,6 +39,10 @@ KIND_PEER22 = 3
 KIND_NAMES = {KIND_PEER11: "peer11", KIND_TRANSIT12: "transit12", KIND_PEER22: "peer22"}
 KIND_CODES = {name: code for code, name in KIND_NAMES.items()}
 
+# largest node count whose edge pair ids lo * N + hi (see from_edges)
+# fit in int64; import_graph rejects larger header counts
+MAX_NODES = 3_037_000_499
+
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
@@ -520,6 +524,8 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
         (n,) = _ints(header[1:], line)
         if n < 0:
             raise DomainError(f"negative node count {n}")
+        if n > MAX_NODES:
+            raise DomainError(f"node count {n} exceeds {MAX_NODES}")
         us: list[int] = []
         vs: list[int] = []
         kind_list: list[int] = []
@@ -563,12 +569,15 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
             raise DomainError(f"conflicting roles for nodes {sorted(tier1 & tier2)}")
         u_arr = np.asarray(us, dtype=np.int64)
         v_arr = np.asarray(vs, dtype=np.int64)
-        if tiered:
-            roles = np.full(n, ROLE_TIER2, dtype=np.uint8)
-            roles[sorted(tier1)] = ROLE_TIER1
-            kinds = np.asarray(kind_list, dtype=np.uint8)
-            return from_edges(n, u_arr, v_arr, kinds=kinds, roles=roles, cluster=cluster)
-        return from_edges(n, u_arr, v_arr, cluster=cluster)
+        try:
+            if tiered:
+                roles = np.full(n, ROLE_TIER2, dtype=np.uint8)
+                roles[sorted(tier1)] = ROLE_TIER1
+                kinds = np.asarray(kind_list, dtype=np.uint8)
+                return from_edges(n, u_arr, v_arr, kinds=kinds, roles=roles, cluster=cluster)
+            return from_edges(n, u_arr, v_arr, cluster=cluster)
+        except MemoryError:
+            raise DomainError(f"node count {n} does not fit in memory") from None
     except UnicodeDecodeError as exc:
         raise DomainError(f"edge lists are ASCII text: {exc}") from None
     finally:

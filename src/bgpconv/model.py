@@ -144,57 +144,8 @@ class TieredCore:
 TopologySpec = Union[FullMesh, Poisson, ConfigModel, TieredCore]
 
 
-@dataclass(frozen=True)
-class StepContext:
-    """The (i, x) pair every per-step formula is conditioned on.
-
-    ``step`` is the dissemination step i in [1, N-k]; ``sdn_hit_step``
-    is the step x in [0, N-k] at which the cluster first received the
-    update (x = 0 means the announcing AS was a cluster member).
-    """
-
-    step: int
-    sdn_hit_step: int
-
-    def validate(self, params: ModelParams) -> None:
-        steps = params.steps
-        if not 1 <= self.step <= steps:
-            raise DomainError(
-                f"step must be in [1, {steps}], got {self.step}"
-            )
-        if not 0 <= self.sdn_hit_step <= steps:
-            raise DomainError(
-                f"sdn_hit_step must be in [0, {steps}], got {self.sdn_hit_step}"
-            )
-
-
-def informed_count(ctx: StepContext, params: ModelParams) -> int:
-    """Number of informed nodes n(i|x) at step i given cluster hit at x.
-
-    Before the cluster is reached each step informs one node, so
-    n(i|x) = i for i <= x.  The hit itself informs the whole cluster at
-    once, so every later step carries the extra k - 1 members:
-    n(i|x) = i + k - 1 for i > x.
-    """
-    ctx.validate(params)
-    if ctx.step <= ctx.sdn_hit_step:
-        return ctx.step
-    return ctx.step + params.k_cluster - 1
-
-
-def p_sdn(x: int, params: ModelParams) -> float:
-    """Probability that the SDN cluster is first reached at step x.
-
-    Entry x of p_sdn_distribution.
-    """
-    steps = params.steps
-    if not 0 <= x <= steps:
-        raise DomainError(f"x must be in [0, {steps}], got {x}")
-    return float(p_sdn_distribution(params)[x])
-
-
 def p_sdn_distribution(params: ModelParams) -> np.ndarray:
-    """Vector of p_sdn(x) for x in [0, N-k]; sums to 1 within 1e-9.
+    """Vector of P_sdn(x) for x in [0, N-k]; sums to 1 within 1e-9.
 
     Under a uniformly random informing order (which also underlies the
     enumeration oracle used in the tests), the first cluster member is
@@ -209,7 +160,13 @@ def p_sdn_distribution(params: ModelParams) -> np.ndarray:
 
 
 def informed_counts_row(x: int, params: ModelParams) -> np.ndarray:
-    """n(i|x) for all steps i in [1, N-k] as an integer vector."""
+    """n(i|x) for all steps i in [1, N-k] as an integer vector.
+
+    Before the cluster is reached each step informs one node, so
+    n(i|x) = i for i <= x.  The hit itself informs the whole cluster at
+    once, so every later step carries the extra k - 1 members:
+    n(i|x) = i + k - 1 for i > x.
+    """
     steps = params.steps
     if not 0 <= x <= steps:
         raise DomainError(f"x must be in [0, {steps}], got {x}")

@@ -111,9 +111,7 @@ def _check_announcer(graph: Graph, announcer: int) -> int:
     return announcer
 
 
-def _run_times(
-    cfg: RunConfig, run_index: int, backend: str | None
-) -> tuple[int, np.ndarray]:
+def _run_times(cfg: RunConfig, run_index: int) -> tuple[int, np.ndarray]:
     """Resolve the run's announcer and produce per-node informed times."""
     run_ss = np.random.SeedSequence((int(cfg.seed), int(run_index)))
     ann_child, clock_child = run_ss.spawn(2)
@@ -122,16 +120,14 @@ def _run_times(
     else:
         origin = _check_announcer(cfg.graph, cfg.announcer)
     times, _ = run_dissemination(
-        cfg.graph, origin, 1.0 / float(cfg.lam), clock_child, backend, cfg.policy
+        cfg.graph, origin, 1.0 / float(cfg.lam), clock_child, policy=cfg.policy
     )
     return origin, times
 
 
-def simulate_once(
-    cfg: RunConfig, run_index: int = 0, backend: str | None = None
-) -> DisseminationTrace:
+def simulate_once(cfg: RunConfig, run_index: int = 0) -> DisseminationTrace:
     """Run one dissemination and keep the full event trace."""
-    origin, times = _run_times(cfg, run_index, backend)
+    origin, times = _run_times(cfg, run_index)
     reached = np.flatnonzero(times >= 0.0)
     order = reached[np.argsort(times[reached], kind="stable")]
     events: list[tuple[float, frozenset]] = []
@@ -164,14 +160,13 @@ class BatchResult:
     stats: RunStats
 
 
-def simulate_batch(
-    cfg: RunConfig, runs: int, backend: str | None = None
-) -> BatchResult:
+def simulate_batch(cfg: RunConfig, runs: int) -> BatchResult:
     """Run many disseminations on the fixed graph in cfg.
 
     cfg.announcer "uniform" redraws the origin each run (uniform over
     all nodes on flat graphs, over tier-2 nodes on tiered ones); a node
-    id is the origin of every run.
+    id is the origin of every run.  Runs use the kernel that
+    BGPCONV_BACKEND selects (see active_backend).
     """
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
@@ -179,7 +174,7 @@ def simulate_batch(
     announcers = np.empty(runs, dtype=np.int64)
     for r in range(runs):
         try:
-            origin, node_times = _run_times(cfg, r, backend)
+            origin, node_times = _run_times(cfg, r)
         except UnreachableTopologyError as exc:
             raise UnreachableTopologyError(f"run {r}: {exc}") from exc
         reached = node_times >= 0.0

@@ -20,8 +20,6 @@ import bgpconv as bc
 from bgpconv import cli
 from bgpconv.errors import DomainError
 from bgpconv.experiments import (
-    CORE_COLUMNS,
-    SWEEP_COLUMNS,
     draw_point,
     fraction_to_k,
     power_law_config_spec,
@@ -29,6 +27,10 @@ from bgpconv.experiments import (
 from bgpconv.model import ConfigModel, FullMesh, ModelParams, Poisson, TieredCore
 
 SWEEP_HEADER = "sweep_value,analytic,sim_mean,sim_std_err,rel_error,jensen_ok,runs,seed"
+CORE_HEADER = (
+    "p22,k1,analytic_total,analytic_peering,analytic_transit,"
+    "sim_mean,sim_std_err,rel_error,runs,seed,beats_baseline"
+)
 
 
 def small_sweep(**kw):
@@ -138,7 +140,6 @@ def test_csv_header_and_digits():
     text = bc.emit(rows, format="csv")
     lines = text.strip().split("\n")
     assert lines[0] == SWEEP_HEADER
-    assert ",".join(SWEEP_COLUMNS) == SWEEP_HEADER
     assert len(lines) == 1 + len(rows)
     first = lines[1].split(",")
     assert first[0] == "0.3"
@@ -213,8 +214,7 @@ def test_case_study_core_csv_schema():
     result = bc.run_case_study(tpl, (0.2,), (1,), runs_per_point=30, master_seed=2)
     text = bc.emit(result, format="csv")
     header = text.strip().split("\n")[0]
-    assert header == ",".join(CORE_COLUMNS)
-    assert header.startswith("p22,k1,analytic_total")
+    assert header == CORE_HEADER
     doc = json.loads(bc.emit(result, format="json"))
     assert "rows" in doc and "best_k1" in doc
 
@@ -414,6 +414,7 @@ def test_cli_import_graph_rejects_malformed_files(tmp_path, capsys):
         "n 4\n2 x\ncluster 0\n": "non-integer",
         "n 4\n0 1\ncluster 0 z\n": "non-integer",
         "n -3\ncluster\n": "negative",
+        "n 99999999999\ncluster 0\n": "node count 99999999999",
         "n 4\n0 1\ncluster 9\n": "out of range",
         "n 4\n0 1\ncluster 0 0\n": "repeated",
         "n 4\n0 1 peer11\n0 2 transit12\ncluster 2\n": "tier-1",
@@ -580,5 +581,5 @@ def test_cli_core_reports_best_k1(capsys):
     )
     assert code == 0
     captured = capsys.readouterr()
-    assert captured.out.startswith(",".join(CORE_COLUMNS))
+    assert captured.out.startswith(CORE_HEADER + "\n")
     assert "p22=0.2" in captured.err

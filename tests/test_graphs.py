@@ -365,6 +365,15 @@ def test_import_rejects_malformed_input():
         import_graph(io.StringIO("n 3\n0 1 sideways\ncluster 0\n"))  # unknown kind
 
 
+def test_import_reports_a_node_count_that_does_not_fit_in_memory(monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(gg, "from_edges", out_of_memory)
+    with pytest.raises(DomainError, match="node count 3 does not fit in memory"):
+        import_graph(io.StringIO("n 3\n0 1\ncluster 0\n"))
+
+
 def test_from_edges_rejects_bad_input():
     with pytest.raises(DomainError):
         from_edges(3, np.array([0]), np.array([0]), cluster=np.array([0]))

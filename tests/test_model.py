@@ -19,13 +19,11 @@ from hypothesis import strategies as st
 from bgpconv.errors import DomainError
 from bgpconv.model import (
     ModelParams,
-    StepContext,
     degree_stats,
-    informed_count,
     informed_counts_row,
-    p_sdn,
     p_sdn_distribution,
 )
+from degree_reference import StepContext, informed_count
 
 
 def hit_distribution_by_enumeration(n: int, k: int) -> list[Fraction]:
@@ -56,10 +54,6 @@ def test_hit_distribution_frozen_values():
     assert dist[0] == 0.5
     assert dist[1] == pytest.approx(1 / 3, abs=1e-15)
     assert dist[2] == pytest.approx(1 / 6, abs=1e-15)
-
-    assert p_sdn(0, ModelParams(4, 2, 1.0)) == 0.5
-    assert p_sdn(1, ModelParams(4, 2, 1.0)) == pytest.approx(1 / 3, abs=1e-15)
-    assert p_sdn(2, ModelParams(4, 2, 1.0)) == pytest.approx(1 / 6, abs=1e-15)
 
 
 def test_hit_distribution_degenerate_cases():
@@ -93,25 +87,25 @@ def test_hit_distribution_is_exactly_uniform_for_one_member():
     dist = p_sdn_distribution(ModelParams(n, 1, 1.0))
     assert dist.size == n
     assert (dist == 1 / n).all()
-    assert p_sdn(n - 1, ModelParams(n, 1, 1.0)) == 1 / n
 
 
 def test_log_space_path_agrees_with_direct_product():
     # above the size cutoff the implementation moves to log space; the
     # answer must still match the plain product formula for small x
     params = ModelParams(10_001, 7, 1.0)
+    dist = p_sdn_distribution(params)
     for x in (0, 1, 5):
         direct = params.k_cluster / (params.n_total - x)
         for j in range(x):
             direct *= 1.0 - params.k_cluster / (params.n_total - j)
-        assert p_sdn(x, params) == pytest.approx(direct, rel=1e-12)
+        assert dist[x] == pytest.approx(direct, rel=1e-12)
 
 
 def test_informed_count_worked_examples():
     params5 = ModelParams(20, 5, 1.0)
-    assert informed_count(StepContext(1, 3), params5) == 1
-    assert informed_count(StepContext(2, 1), params5) == 6
-    assert informed_count(StepContext(1, 0), ModelParams(20, 1, 1.0)) == 1
+    assert informed_counts_row(3, params5)[0] == 1
+    assert informed_counts_row(1, params5)[1] == 6
+    assert informed_counts_row(0, ModelParams(20, 1, 1.0))[0] == 1
 
 
 def test_informed_count_row_shape_and_jump():
@@ -119,7 +113,7 @@ def test_informed_count_row_shape_and_jump():
     for x in range(params.steps + 1):
         row = informed_counts_row(x, params)
         assert row.shape == (params.steps,)
-        # matches the scalar function entry by entry
+        # matches the test-side scalar reference entry by entry
         for i in range(1, params.steps + 1):
             assert row[i - 1] == informed_count(StepContext(i, x), params)
         assert (np.diff(row) >= 1).all()
@@ -162,15 +156,12 @@ def test_params_validation():
 
 
 def test_step_context_validation():
+    # the cluster-hit step x lies in [0, N-k]
     params = ModelParams(6, 2, 1.0)
     with pytest.raises(DomainError):
-        p_sdn(-1, params)
+        informed_counts_row(-1, params)
     with pytest.raises(DomainError):
-        p_sdn(params.steps + 1, params)
-    with pytest.raises(DomainError):
-        informed_count(StepContext(0, 0), params)  # steps are 1-based
-    with pytest.raises(DomainError):
-        informed_count(StepContext(params.steps + 1, 0), params)
+        informed_counts_row(params.steps + 1, params)
 
 
 def test_degree_stats_basics():

@@ -309,11 +309,12 @@ def test_backend_env_selection(monkeypatch):
 
 
 def test_env_selected_backend_matches_explicit(monkeypatch):
-    cfg = mesh_cfg(15, 2, seed=77)
-    explicit = simulate_batch(cfg, 10, backend="numpy")
+    g = gg.gen_full_mesh(ModelParams(15, 2, 1.0), 0)
+    explicit, used_explicit = run_dissemination(g, 3, 1.0, 77, backend="numpy")
     monkeypatch.setenv("BGPCONV_BACKEND", "numpy")
-    via_env = simulate_batch(cfg, 10)
-    np.testing.assert_array_equal(explicit.times, via_env.times)
+    via_env, used_env = run_dissemination(g, 3, 1.0, 77)
+    np.testing.assert_array_equal(explicit, via_env)
+    assert used_explicit == used_env
 
 
 # ------------------------------------------------------- draw bookkeeping
