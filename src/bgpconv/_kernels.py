@@ -12,16 +12,24 @@ Two interchangeable backends produce bit-identical results: a compiled
 kernel (numba, the default whenever numba imports) and a vectorized
 numpy fallback.  Identity holds because both consume the same
 unit-exponential stream in ascending node-id order within each step and
-apply the same floating-point operations to each entry.  Selection is
+apply the same floating-point operations to each entry: each draw is
+multiplied by 1/lambda once, when its chunk is drawn, and each event
+time is a running sum of the winning delays.  Selection is
 via the BGPCONV_BACKEND environment variable ("numba", "numpy", or
 "auto") or an explicit argument.
 
 Kernel contract: run_dissemination informs the origin and owns the
-run's one Generator.  A kernel takes the state (informed, counts, t)
-plus a buffer of draws, runs only the event loop, and returns
-(status, pos, t).  STATUS_OK: every node is informed.  STATUS_STUCK: the
-frontier is empty.  STATUS_REFILL: the buffer ran short; pos is where
-the unfinished step began, and the state is as it was there.
+run's one Generator.  The state is one uint8 mark per node: bit FRONTIER
+(1) says some informed forwarder neighbors the node, bit INFORMED (2)
+that it is informed, so the frontier is exactly the nodes whose mark is
+FRONTIER.  Every SDN cluster member forwards (flat graphs forward
+everywhere; a tiered cluster lies in tier-1), so the merged cluster's
+neighborhood is one precomputed gather.  A kernel takes (mark,
+n_informed, t) plus a buffer of draws already scaled by 1/lambda, runs
+only the event loop, and returns (status, pos, n_informed, t).
+STATUS_OK: every node is informed.  STATUS_STUCK: the frontier is empty.
+STATUS_REFILL: the buffer ran short; pos is where the unfinished step
+began, and the state is as it was there.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import os
 import numpy as np
 
 from .errors import DomainError, UnreachableTopologyError
-from .graphs import Graph, forwarder_mask
+from .graphs import Graph, forwarder_mask, neighborhood
 
 try:
     import numba
@@ -47,6 +55,13 @@ STATUS_OK = 0
 STATUS_REFILL = -1
 STATUS_STUCK = -2
 
+# mark bits, one uint8 per node
+FRONTIER = 1  # some informed forwarder neighbors the node
+INFORMED = 2
+# FRONTIER as a 0-d uint8 array: as a ufunc operand it skips the
+# promotion of a Python int, a tenth of a numpy kernel step at n = 300
+_FRONTIER_U8 = np.array(FRONTIER, dtype=np.uint8)
+
 
 def active_backend() -> str:
     """Backend chosen by BGPCONV_BACKEND (unset or 'auto' prefers numba)."""
@@ -61,49 +76,43 @@ def active_backend() -> str:
 
 
 def _scalar_kernel(
-    indptr, indices, forwards, cluster, is_cluster,
-    informed, counts, t, unit_exp, inv_lam, out_times,
+    indptr, indices, forwards, is_cluster, cluster, cluster_nbrs,
+    mark, n_informed, t, draws, out_times,
 ):
-    n = out_times.shape[0]
-    n_informed = 0
-    for u in range(n):
-        if informed[u]:
-            n_informed += 1
+    n = mark.shape[0]
     pos = 0
     while n_informed < n:
         step_start = pos
         best = np.inf
         best_node = -1
         for u in range(n):
-            if informed[u] or counts[u] == 0:
+            if mark[u] != FRONTIER:
                 continue
-            if pos >= unit_exp.shape[0]:
-                return (STATUS_REFILL, step_start, t)
-            d = unit_exp[pos] * inv_lam
+            if pos >= draws.shape[0]:
+                return (STATUS_REFILL, step_start, n_informed, t)
+            d = draws[pos]
             pos += 1
             if d < best:  # strict: earliest node id wins ties
                 best = d
                 best_node = u
         if best_node < 0:
-            return (STATUS_STUCK, pos, t)
+            return (STATUS_STUCK, pos, n_informed, t)
         t += best
-        informed[best_node] = True
+        mark[best_node] = FRONTIER | INFORMED
         out_times[best_node] = t
         n_informed += 1
         if forwards[best_node]:
             for e in range(indptr[best_node], indptr[best_node + 1]):
-                counts[indices[e]] += 1
+                mark[indices[e]] |= FRONTIER
         if is_cluster[best_node]:
-            for ci in range(cluster.shape[0]):
-                m = cluster[ci]
-                if not informed[m]:
-                    informed[m] = True
+            for m in cluster:
+                if not mark[m] & INFORMED:
+                    mark[m] |= INFORMED
                     out_times[m] = t
                     n_informed += 1
-                    if forwards[m]:
-                        for e in range(indptr[m], indptr[m + 1]):
-                            counts[indices[e]] += 1
-    return (STATUS_OK, pos, t)
+            for v in cluster_nbrs:
+                mark[v] |= FRONTIER
+    return (STATUS_OK, pos, n_informed, t)
 
 
 if HAS_NUMBA:
@@ -113,38 +122,36 @@ else:  # pragma: no cover - exercised only without numba installed
 
 
 def _vector_kernel(
-    indptr, indices, forwards, cluster, is_cluster,
-    informed, counts, t, unit_exp, inv_lam, out_times,
+    indptr, indices, forwards, is_cluster, cluster, cluster_nbrs,
+    mark, n_informed, t, draws, out_times,
 ):
-    n = out_times.shape[0]
-    n_informed = int(informed.sum())
+    n = mark.shape[0]
+    n_draws = draws.shape[0]
     pos = 0
     while n_informed < n:
-        frontier = np.flatnonzero(~informed & (counts > 0))
-        if frontier.size == 0:
-            return (STATUS_STUCK, pos, t)
-        if pos + frontier.size > unit_exp.shape[0]:
-            return (STATUS_REFILL, pos, t)
-        delays = unit_exp[pos : pos + frontier.size] * inv_lam
-        pos += frontier.size
-        j = int(np.argmin(delays))  # first occurrence: earliest node id wins ties
-        t += float(delays[j])
-        node = int(frontier[j])
-        informed[node] = True
+        frontier = (mark == _FRONTIER_U8).nonzero()[0]
+        size = frontier.size
+        if size == 0:
+            return (STATUS_STUCK, pos, n_informed, t)
+        if pos + size > n_draws:
+            return (STATUS_REFILL, pos, n_informed, t)
+        delays = draws[pos : pos + size]
+        pos += size
+        j = delays.argmin()  # first occurrence: earliest node id wins ties
+        t += delays.item(j)
+        node = frontier.item(j)
+        mark[node] = FRONTIER | INFORMED
         out_times[node] = t
         n_informed += 1
         if forwards[node]:
-            counts[indices[indptr[node] : indptr[node + 1]]] += 1
+            mark[indices[indptr[node] : indptr[node + 1]]] |= _FRONTIER_U8
         if is_cluster[node]:
-            for m in cluster:
-                m = int(m)
-                if not informed[m]:
-                    informed[m] = True
-                    out_times[m] = t
-                    n_informed += 1
-                    if forwards[m]:
-                        counts[indices[indptr[m] : indptr[m + 1]]] += 1
-    return (STATUS_OK, pos, t)
+            new = cluster[(mark[cluster] & INFORMED) == 0]
+            mark[new] |= INFORMED
+            out_times[new] = t
+            n_informed += new.size
+            mark[cluster_nbrs] |= FRONTIER
+    return (STATUS_OK, pos, n_informed, t)
 
 
 def unit_exponential_buffer(rng: np.random.Generator, length: int) -> np.ndarray:
@@ -160,6 +167,18 @@ def unit_exponential_buffer(rng: np.random.Generator, length: int) -> np.ndarray
     return np.negative(buf, out=buf)
 
 
+def _delays(rng: np.random.Generator, length: int, inv_lam: float) -> np.ndarray:
+    """The next length Exp(1/inv_lam) delays: unit draws times inv_lam.
+
+    Scaled once per chunk, in place; each entry is the same IEEE product
+    a per-draw multiply would give.
+    """
+    buf = unit_exponential_buffer(rng, length)
+    if inv_lam != 1.0:
+        buf *= inv_lam
+    return buf
+
+
 def run_dissemination(
     graph: Graph,
     announcer: int,
@@ -173,7 +192,8 @@ def run_dissemination(
     seed (int or SeedSequence) opens the run's one Generator.  The
     announcer, and its SDN cluster when it belongs to one, are informed
     at time 0 here; the backend kernel then runs the event loop on
-    unit exponentials drawn 8n at a time.  A kernel that runs short
+    delays drawn 8n at a time (unit exponentials times inv_lam), carrying
+    the informed count across calls.  A kernel that runs short
     returns where its unfinished step began, and is called again on the
     draws it had not used followed by the next chunk of the same stream,
     so results never depend on the chunk size.
@@ -195,33 +215,38 @@ def run_dissemination(
         raise DomainError(f"unknown policy {policy!r}; use strict or reachable-only")
 
     announcer = int(announcer)
+    inv_lam = float(inv_lam)
     forwards = forwarder_mask(graph, announcer)
     is_cluster = graph.cluster_mask
     n = graph.node_count
-    informed = np.zeros(n, dtype=np.bool_)
-    # count of informed forwarding neighbors; > 0 marks frontier membership
-    counts = np.zeros(n, dtype=np.int64)
+    # every cluster member forwards (flat graphs forward everywhere and a
+    # tiered cluster lies in tier-1), so one gather covers the merged cluster
+    cluster_nbrs = neighborhood(graph, graph.cluster)
+    mark = np.zeros(n, dtype=np.uint8)
     out_times = np.full(n, -1.0)
-    origin = graph.cluster if is_cluster[announcer] else np.array([announcer])
-    informed[origin] = True
+    # the announcer forwards too (forwarder_mask)
+    if is_cluster[announcer]:
+        origin, origin_nbrs = graph.cluster, cluster_nbrs
+    else:
+        origin, origin_nbrs = np.array([announcer]), graph.neighbors(announcer)
+    mark[origin] = INFORMED
     out_times[origin] = 0.0
-    for m in origin[forwards[origin]]:
-        counts[graph.indices[graph.indptr[m] : graph.indptr[m + 1]]] += 1
+    mark[origin_nbrs] |= FRONTIER
 
     rng = np.random.default_rng(seed)
     chunk = 8 * n
-    unit_exp = unit_exponential_buffer(rng, chunk)
-    used, t = 0, 0.0
+    draws = _delays(rng, chunk, inv_lam)
+    used, n_informed, t = 0, int(origin.size), 0.0
     while True:
-        status, pos, t = kern(
-            graph.indptr, graph.indices, forwards, graph.cluster, is_cluster,
-            informed, counts, t, unit_exp, float(inv_lam), out_times,
+        status, pos, n_informed, t = kern(
+            graph.indptr, graph.indices, forwards, is_cluster, graph.cluster,
+            cluster_nbrs, mark, n_informed, t, draws, out_times,
         )
         used += pos
         if status != STATUS_REFILL:
             break
         # a step needs at most n draws, so every refill completes one
-        unit_exp = np.concatenate((unit_exp[pos:], unit_exponential_buffer(rng, chunk)))
+        draws = np.concatenate((draws[pos:], _delays(rng, chunk, inv_lam)))
     if status == STATUS_STUCK and policy == "strict":
         raise UnreachableTopologyError(
             f"announcement from node {announcer} cannot reach every node"

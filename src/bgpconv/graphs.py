@@ -39,7 +39,7 @@ KIND_PEER22 = 3
 KIND_NAMES = {KIND_PEER11: "peer11", KIND_TRANSIT12: "transit12", KIND_PEER22: "peer22"}
 KIND_CODES = {name: code for code, name in KIND_NAMES.items()}
 
-# largest node count whose edge pair ids lo * N + hi (see from_edges)
+# largest node count N whose half-edge keys src * N + dst (see from_edges)
 # fit in int64; import_graph rejects larger header counts
 MAX_NODES = 3_037_000_499
 
@@ -147,27 +147,28 @@ def from_edges(
         raise DomainError("edge endpoint arrays differ in length")
     if np.any(u == v):
         raise DomainError("self loops are not allowed")
-    if u.size:
-        if int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= node_count:
-            raise DomainError("edge endpoint out of range")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        pair_ids = lo * np.int64(node_count) + hi
-        if np.unique(pair_ids).size != pair_ids.size:
-            raise DomainError("duplicate edges are not allowed")
+    if u.size and (
+        int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= node_count
+    ):
+        raise DomainError("edge endpoint out of range")
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
+    # half-edges in (src, dst) order, sorted by the one key src * N + dst
+    key = src * np.int64(node_count) + dst
+    order = key.argsort()
+    key = key[order]
+    # a repeated edge, in either orientation, repeats both its half-edges,
+    # and sorting puts equal keys side by side
+    if np.any(key[1:] == key[:-1]):
+        raise DomainError("duplicate edges are not allowed")
+    src = src[order]
+    dst = dst[order]
     half_kinds = None
     if kinds is not None:
         kinds = np.asarray(kinds, dtype=np.uint8)
         if kinds.shape != u.shape:
             raise DomainError("kinds array misaligned with edges")
-        half_kinds = np.concatenate([kinds, kinds])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    if half_kinds is not None:
-        half_kinds = half_kinds[order]
+        half_kinds = np.concatenate([kinds, kinds])[order]
     counts = np.bincount(src, minlength=node_count)
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -204,23 +205,39 @@ def gen_full_mesh(params: ModelParams, seed: SeedLike) -> Graph:
     return from_edges(n, u.astype(np.int64), v.astype(np.int64), cluster=cluster)
 
 
+# most pair uniforms gen_poisson draws at once, a row longer than this
+# drawn whole: 128 KiB of draws is as fast as larger blocks at n = 300
+# and 3000, and raises peak memory less
+PAIR_BLOCK = 1 << 14
+
+
 def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
     """Independent-edge graph: each pair connected with probability p_edge.
 
-    One uniform per pair, drawn a row at a time in row-major pair order.
+    One uniform per pair in row-major pair order ((0, 1), (0, 2), ...,
+    (1, 2), ...), drawn in blocks of whole rows; consecutive draws from
+    one Generator concatenate, so the block size never changes the graph.
     """
     if not 0.0 <= p_edge <= 1.0:
         raise DomainError(f"p_edge must be in [0, 1], got {p_edge}")
     rng = as_generator(seed)
     n = params.n_total
+    # row_start[u] is the index of pair (u, u + 1); row_start[n - 1] is
+    # the pair count
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
-    for u_node in range(n - 1):
-        hit = rng.random(n - u_node - 1) < p_edge
-        if hit.any():
-            vv = np.flatnonzero(hit).astype(np.int64) + u_node + 1
-            us.append(np.full(vv.size, u_node, dtype=np.int64))
-            vs.append(vv)
+    r0 = 0
+    while r0 < n - 1:
+        lo = row_start[r0]
+        r1 = max(int(np.searchsorted(row_start, lo + PAIR_BLOCK, side="right")) - 1,
+                 r0 + 1)
+        hit = np.flatnonzero(rng.random(row_start[r1] - lo) < p_edge) + lo
+        row = np.searchsorted(row_start, hit, side="right") - 1
+        us.append(row)
+        vs.append(hit - row_start[row] + row + 1)
+        r0 = r1
     u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
     cluster = _sample_cluster(rng, n, params.k_cluster)
@@ -379,12 +396,27 @@ def forwarder_mask(graph: Graph, announcer: int) -> np.ndarray:
     return mask
 
 
+def neighborhood(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+    """The adjacency lists of nodes, concatenated in the order given.
+
+    One gather over the CSR arrays; a node adjacent to several of the
+    given nodes appears once per such neighbor.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    starts = graph.indptr[nodes]
+    lengths = graph.indptr[nodes + 1] - starts
+    # entry e of list i sits at e - (first output slot of list i) + starts[i]
+    shift = np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+    return graph.indices[np.arange(shift.size) - shift]
+
+
 def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
     """Nodes reachable from the announcer along eligible paths.
 
     The SDN cluster acts as a super-node: reaching any member reaches
     all members.  Only forwarders extend paths; a non-forwarding node is
-    reachable when some forwarder neighbors it (one final hop).
+    reachable when some forwarder neighbors it (one final hop).  Runs a
+    level-synchronous breadth-first search over the CSR arrays.
     """
     if not 0 <= announcer < graph.node_count:
         raise DomainError(f"announcer {announcer} out of range")
@@ -392,24 +424,17 @@ def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
     cluster_mask = graph.cluster_mask
     seen = np.zeros(graph.node_count, dtype=np.bool_)
     seen[announcer] = True
-    stack = [int(announcer)]
+    level = np.array([announcer], dtype=np.int64)
     cluster_merged = False
-    while stack:
-        node = stack.pop()
-        if cluster_mask[node] and not cluster_merged:
+    while level.size:
+        if not cluster_merged and cluster_mask[level].any():
             cluster_merged = True
-            for member in graph.cluster:
-                member = int(member)
-                if not seen[member]:
-                    seen[member] = True
-                    stack.append(member)
-        if not forwards[node]:
-            continue
-        for nbr in graph.neighbors(node):
-            nbr = int(nbr)
-            if not seen[nbr]:
-                seen[nbr] = True
-                stack.append(nbr)
+            members = graph.cluster[~seen[graph.cluster]]
+            seen[members] = True
+            level = np.concatenate((level, members))
+        nbrs = neighborhood(graph, level[forwards[level]])
+        level = np.unique(nbrs[~seen[nbrs]])
+        seen[level] = True
     return seen
 
 

@@ -29,9 +29,11 @@ from bgpconv.graphs import (
     gen_power_law_degrees,
     gen_tiered_core,
     import_graph,
+    neighborhood,
     reachable_set,
 )
 from bgpconv.model import ConfigModel, ModelParams, Poisson, TieredCore
+from graph_reference import gen_poisson_rowwise, reachable_set_dfs
 
 
 # ---------------------------------------------------------------- full mesh
@@ -72,6 +74,34 @@ def test_poisson_mean_degree_band():
         g = gen_poisson(ModelParams(300, 1, 1.0), 1 / 60, s)
         means.append(float(g.degrees.mean()))
     assert 4.5 <= min(means) and max(means) <= 5.5
+
+
+def assert_same_graph(a, b):
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a.cluster, b.cluster)
+
+
+# up to n = 5 one block holds every pair; from 300 up, rows straddle block ends
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 1000, 3000])
+@pytest.mark.parametrize("p_edge", [0.0, 1 / 60, 1.0])
+def test_poisson_blocks_match_rowwise_draws(n, p_edge):
+    k = max(1, n // 10)
+    # one seed at n = 3000, where p = 1 builds 4.5 million edges per graph
+    for seed in (0, 1, 17) if n < 3000 else (17,):
+        params = ModelParams(n, k)
+        assert_same_graph(gen_poisson(params, p_edge, seed),
+                          gen_poisson_rowwise(params, p_edge, seed))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_poisson_block_size_never_changes_the_graph(monkeypatch, block):
+    # blocks smaller than a row hold that one row; others end mid-range
+    monkeypatch.setattr(gg, "PAIR_BLOCK", block)
+    for seed in (3, 4):
+        params = ModelParams(40, 4)
+        assert_same_graph(gen_poisson(params, 0.2, seed),
+                          gen_poisson_rowwise(params, 0.2, seed))
 
 
 def test_poisson_determinism():
@@ -269,6 +299,39 @@ def test_reachable_set_respects_forwarding_rules():
     assert not reached[3]
 
 
+def test_neighborhood_concatenates_adjacency_lists():
+    g = gen_poisson(ModelParams(40, 1), 0.2, 5)
+    nodes = np.array([7, 0, 39, 7, 12])
+    expect = np.concatenate([g.neighbors(int(u)) for u in nodes])
+    np.testing.assert_array_equal(neighborhood(g, nodes), expect)
+    assert neighborhood(g, np.array([], dtype=np.int64)).size == 0
+
+
+def test_reachable_set_matches_depth_first_reference():
+    # flat graphs near and below connectivity, tiered graphs with sparse
+    # layers (announcer in tier-2, cluster in tier-1): many draws leave
+    # nodes dark, so both outcomes are compared
+    rng = np.random.default_rng(2024)
+    dark = 0
+    for seed in range(150):
+        n = int(rng.integers(1, 80))
+        g = gen_poisson(ModelParams(n, int(rng.integers(1, n + 1))),
+                        float(rng.uniform(0.0, 0.1)), seed)
+        ann = int(rng.integers(0, n))
+        reached = reachable_set(g, ann)
+        np.testing.assert_array_equal(reached, reachable_set_dfs(g, ann))
+        dark += not reached.all()
+        n1, n2 = int(rng.integers(1, 15)), int(rng.integers(1, 40))
+        p11, p12, p22 = rng.uniform(0.0, 0.4, 3)
+        spec = TieredCore(n1, n2, int(rng.integers(1, n1 + 1)), p11, p12, p22)
+        g = gen_tiered_core(spec, seed)
+        ann = int(rng.integers(n1, n1 + n2))
+        reached = reachable_set(g, ann)
+        np.testing.assert_array_equal(reached, reachable_set_dfs(g, ann))
+        dark += not reached.all()
+    assert 30 <= dark <= 270
+
+
 def test_ensure_reachable_full_mesh_first_try():
     from bgpconv.model import FullMesh
 
@@ -377,8 +440,9 @@ def test_import_reports_a_node_count_that_does_not_fit_in_memory(monkeypatch):
 def test_from_edges_rejects_bad_input():
     with pytest.raises(DomainError):
         from_edges(3, np.array([0]), np.array([0]), cluster=np.array([0]))
-    with pytest.raises(DomainError):
-        from_edges(3, np.array([0, 1]), np.array([1, 0]), cluster=np.array([0]))
+    for u, v in (([0, 1], [1, 0]), ([0, 0], [1, 1]), ([2, 0, 2], [1, 1, 1])):
+        with pytest.raises(DomainError, match="duplicate edges"):
+            from_edges(3, np.array(u), np.array(v), cluster=np.array([0]))
     with pytest.raises(DomainError):
         from_edges(3, np.array([0]), np.array([5]), cluster=np.array([0]))
 

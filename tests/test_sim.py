@@ -358,3 +358,47 @@ def test_refill_path_keeps_the_stream(case, digest, draws):
     times, used = run_dissemination(g, ann, 1.0, 77, backend="numpy")
     assert hashlib.sha256(times.tobytes()).hexdigest() == digest
     assert used == draws
+
+
+def pinned_case(case):
+    """(graph, announcer, lam) for the stream pins below."""
+    if case.startswith("poisson"):
+        g = gg.gen_poisson(ModelParams(300, 270), 1 / 60, 5)
+        ann = g.cluster[0] if case == "poisson-in" else np.flatnonzero(~g.cluster_mask)[0]
+        return g, int(ann), 0.7
+    if case.startswith("tiered"):
+        g = gg.gen_tiered_core(TieredCore(20, 100, 5, 0.5, 0.25, 0.2), 3)
+        return g, 21, 1.0 if case == "tiered-1" else 0.7
+    return gg.gen_full_mesh(ModelParams(300, 150), 4), 0, 1.0
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "scalar"])
+@pytest.mark.parametrize(
+    "case,digest,draws",
+    [
+        ("poisson-in", "da7bdbed7bb47278d9164b84d46fd2e1f8756cb2c8331a9ad1e31affb399a5e0",
+         465),
+        ("poisson-out", "140e2d46f46efc442b5fd89d998b93c360ac75e125f60e7cae44b99f86fbcfdf",
+         443),
+        ("tiered-1", "162e154d22ddfcbc6e77d63ecf2730c3ecf0063923610f3862705c15d658553b",
+         5671),
+        ("tiered-0.7", "e3b9d8f6a904d55ca8e1991d006d2b35d03d6abdfa87bffecde4ca4800c1f4ec",
+         5671),
+        ("mesh", "c70b514b824ed9eb664880c81cc0a321996557bd530d27f9ba2fae1b8953d9db",
+         11474),
+    ],
+)
+def test_cluster_merge_and_rate_keep_the_stream(monkeypatch, kernel, case, digest, draws):
+    # times (exact bytes) and draws used on the paths that scale draws by
+    # 1/lam and merge a large cluster: from inside it (k = 270), from
+    # outside it, from a tier-2 announcer, and on a full mesh (k = 150)
+    g, ann, lam = pinned_case(case)
+    backend = "numpy"
+    if kernel == "scalar":
+        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+        monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
+        backend = "numba"
+    times, used = run_dissemination(g, ann, 1.0 / lam, 909, backend=backend,
+                                    policy="reachable-only")
+    assert hashlib.sha256(times.tobytes()).hexdigest() == digest
+    assert used == draws
