@@ -19,14 +19,17 @@ via the BGPCONV_BACKEND environment variable ("numba", "numpy", or
 "auto") or an explicit argument.
 
 Kernel contract: run_dissemination informs the origin and owns the
-run's one Generator.  The state is one uint8 mark per node: bit FRONTIER
-(1) says some informed forwarder neighbors the node, bit INFORMED (2)
-that it is informed, so the frontier is exactly the nodes whose mark is
-FRONTIER.  Every SDN cluster member forwards (flat graphs forward
-everywhere; a tiered cluster lies in tier-1), so the merged cluster's
-neighborhood is one precomputed gather.  A kernel takes (mark,
-n_informed, t) plus a buffer of draws already scaled by 1/lambda, runs
-only the event loop, and returns (status, pos, n_informed, t).
+run's one Generator.  The state is two bool arrays: uninformed, and
+front, which marks exactly the uninformed nodes some informed forwarder
+neighbors (the frontier).  Informed nodes never become uninformed, so
+after a forwarder is informed, front[nbrs] = uninformed[nbrs] sets the
+frontier of its neighbors exactly: an informed neighbor reads False,
+which it already was.  Every SDN cluster member forwards (flat graphs
+forward everywhere; a tiered cluster lies in tier-1), so the merged
+cluster's neighborhood is one precomputed gather.  A kernel takes
+(front, uninformed, n_informed, t) plus a buffer of draws already
+scaled by 1/lambda, runs only the event loop, and returns (status, pos,
+n_informed, t).
 STATUS_OK: every node is informed.  STATUS_STUCK: the frontier is empty.
 STATUS_REFILL: the buffer ran short; pos is where the unfinished step
 began, and the state is as it was there.
@@ -39,7 +42,7 @@ import os
 import numpy as np
 
 from .errors import DomainError, UnreachableTopologyError
-from .graphs import Graph, forwarder_mask, neighborhood
+from .graphs import Graph, forwarder_mask
 
 try:
     import numba
@@ -54,13 +57,6 @@ ENV_BACKEND = "BGPCONV_BACKEND"
 STATUS_OK = 0
 STATUS_REFILL = -1
 STATUS_STUCK = -2
-
-# mark bits, one uint8 per node
-FRONTIER = 1  # some informed forwarder neighbors the node
-INFORMED = 2
-# FRONTIER as a 0-d uint8 array: as a ufunc operand it skips the
-# promotion of a Python int, a tenth of a numpy kernel step at n = 300
-_FRONTIER_U8 = np.array(FRONTIER, dtype=np.uint8)
 
 
 def active_backend() -> str:
@@ -77,16 +73,16 @@ def active_backend() -> str:
 
 def _scalar_kernel(
     indptr, indices, forwards, is_cluster, cluster, cluster_nbrs,
-    mark, n_informed, t, draws, out_times,
+    front, uninformed, n_informed, t, draws, out_times,
 ):
-    n = mark.shape[0]
+    n = front.shape[0]
     pos = 0
     while n_informed < n:
         step_start = pos
         best = np.inf
         best_node = -1
         for u in range(n):
-            if mark[u] != FRONTIER:
+            if not front[u]:
                 continue
             if pos >= draws.shape[0]:
                 return (STATUS_REFILL, step_start, n_informed, t)
@@ -98,20 +94,21 @@ def _scalar_kernel(
         if best_node < 0:
             return (STATUS_STUCK, pos, n_informed, t)
         t += best
-        mark[best_node] = FRONTIER | INFORMED
+        front[best_node] = uninformed[best_node] = False
         out_times[best_node] = t
         n_informed += 1
         if forwards[best_node]:
             for e in range(indptr[best_node], indptr[best_node + 1]):
-                mark[indices[e]] |= FRONTIER
+                v = indices[e]
+                front[v] = uninformed[v]
         if is_cluster[best_node]:
             for m in cluster:
-                if not mark[m] & INFORMED:
-                    mark[m] |= INFORMED
+                if uninformed[m]:
+                    front[m] = uninformed[m] = False
                     out_times[m] = t
                     n_informed += 1
             for v in cluster_nbrs:
-                mark[v] |= FRONTIER
+                front[v] = uninformed[v]
     return (STATUS_OK, pos, n_informed, t)
 
 
@@ -123,13 +120,13 @@ else:  # pragma: no cover - exercised only without numba installed
 
 def _vector_kernel(
     indptr, indices, forwards, is_cluster, cluster, cluster_nbrs,
-    mark, n_informed, t, draws, out_times,
+    front, uninformed, n_informed, t, draws, out_times,
 ):
-    n = mark.shape[0]
+    n = front.shape[0]
     n_draws = draws.shape[0]
     pos = 0
     while n_informed < n:
-        frontier = (mark == _FRONTIER_U8).nonzero()[0]
+        frontier = front.nonzero()[0]
         size = frontier.size
         if size == 0:
             return (STATUS_STUCK, pos, n_informed, t)
@@ -140,17 +137,18 @@ def _vector_kernel(
         j = delays.argmin()  # first occurrence: earliest node id wins ties
         t += delays.item(j)
         node = frontier.item(j)
-        mark[node] = FRONTIER | INFORMED
+        front[node] = uninformed[node] = False
         out_times[node] = t
         n_informed += 1
         if forwards[node]:
-            mark[indices[indptr[node] : indptr[node + 1]]] |= _FRONTIER_U8
+            nb = indices[indptr[node] : indptr[node + 1]]
+            front[nb] = uninformed[nb]
         if is_cluster[node]:
-            new = cluster[(mark[cluster] & INFORMED) == 0]
-            mark[new] |= INFORMED
+            new = cluster[uninformed[cluster]]
+            front[new] = uninformed[new] = False
             out_times[new] = t
             n_informed += new.size
-            mark[cluster_nbrs] |= FRONTIER
+            front[cluster_nbrs] = uninformed[cluster_nbrs]
     return (STATUS_OK, pos, n_informed, t)
 
 
@@ -218,20 +216,19 @@ def run_dissemination(
     inv_lam = float(inv_lam)
     forwards = forwarder_mask(graph, announcer)
     is_cluster = graph.cluster_mask
+    cluster_nbrs = graph.cluster_neighborhood
     n = graph.node_count
-    # every cluster member forwards (flat graphs forward everywhere and a
-    # tiered cluster lies in tier-1), so one gather covers the merged cluster
-    cluster_nbrs = neighborhood(graph, graph.cluster)
-    mark = np.zeros(n, dtype=np.uint8)
+    front = np.zeros(n, dtype=np.bool_)
+    uninformed = np.ones(n, dtype=np.bool_)
     out_times = np.full(n, -1.0)
     # the announcer forwards too (forwarder_mask)
     if is_cluster[announcer]:
         origin, origin_nbrs = graph.cluster, cluster_nbrs
     else:
         origin, origin_nbrs = np.array([announcer]), graph.neighbors(announcer)
-    mark[origin] = INFORMED
+    uninformed[origin] = False
     out_times[origin] = 0.0
-    mark[origin_nbrs] |= FRONTIER
+    front[origin_nbrs] = uninformed[origin_nbrs]
 
     rng = np.random.default_rng(seed)
     chunk = 8 * n
@@ -240,7 +237,7 @@ def run_dissemination(
     while True:
         status, pos, n_informed, t = kern(
             graph.indptr, graph.indices, forwards, is_cluster, graph.cluster,
-            cluster_nbrs, mark, n_informed, t, draws, out_times,
+            cluster_nbrs, front, uninformed, n_informed, t, draws, out_times,
         )
         used += pos
         if status != STATUS_REFILL:

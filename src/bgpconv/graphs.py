@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Union
 
 import numpy as np
@@ -85,11 +86,20 @@ class Graph:
     def is_tiered(self) -> bool:
         return self.kinds is not None
 
-    @property
+    @cached_property
     def cluster_mask(self) -> np.ndarray:
+        """Read-only bool mask of the SDN cluster, built once per graph."""
         mask = np.zeros(self.node_count, dtype=np.bool_)
         mask[self.cluster] = True
+        mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def cluster_neighborhood(self) -> np.ndarray:
+        """Read-only neighborhood(self, cluster), built once per graph."""
+        nbrs = neighborhood(self, self.cluster)
+        nbrs.flags.writeable = False
+        return nbrs
 
     def degree_stats(self) -> tuple[float, float]:
         """Realized (mean degree, coefficient of variation)."""
@@ -211,6 +221,23 @@ def gen_full_mesh(params: ModelParams, seed: SeedLike) -> Graph:
 PAIR_BLOCK = 1 << 14
 
 
+def _row_start(n: int) -> np.ndarray:
+    """Offsets of the rows of the n-node pair list in row-major order.
+
+    row_start[u] is the index of pair (u, u + 1); row_start[n - 1] is the
+    pair count.
+    """
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
+    return row_start
+
+
+def _pair_ends(row_start: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (u, v), u < v, of the pairs at indices hit (ascending)."""
+    row = np.searchsorted(row_start, hit, side="right") - 1
+    return row, hit - row_start[row] + row + 1
+
+
 def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
     """Independent-edge graph: each pair connected with probability p_edge.
 
@@ -222,10 +249,7 @@ def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
         raise DomainError(f"p_edge must be in [0, 1], got {p_edge}")
     rng = as_generator(seed)
     n = params.n_total
-    # row_start[u] is the index of pair (u, u + 1); row_start[n - 1] is
-    # the pair count
-    row_start = np.zeros(n, dtype=np.int64)
-    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
+    row_start = _row_start(n)
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
     r0 = 0
@@ -234,9 +258,9 @@ def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
         r1 = max(int(np.searchsorted(row_start, lo + PAIR_BLOCK, side="right")) - 1,
                  r0 + 1)
         hit = np.flatnonzero(rng.random(row_start[r1] - lo) < p_edge) + lo
-        row = np.searchsorted(row_start, hit, side="right") - 1
+        row, col = _pair_ends(row_start, hit)
         us.append(row)
-        vs.append(hit - row_start[row] + row + 1)
+        vs.append(col)
         r0 = r1
     u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
@@ -328,20 +352,23 @@ def gen_tiered_core(spec: TieredCore, seed: SeedLike) -> Graph:
     n1, n2 = spec.n1, spec.n2
     n = n1 + n2
 
-    u1, v1 = np.triu_indices(n1, k=1)
-    m11 = rng.random(u1.size) < spec.p11
-    e11_u = u1[m11].astype(np.int64)
-    e11_v = v1[m11].astype(np.int64)
+    # one uniform per pair in row-major pair order, as in gen_poisson
+    row_start = _row_start(n1)
+    e11_u, e11_v = _pair_ends(
+        row_start, np.flatnonzero(rng.random(row_start[-1]) < spec.p11)
+    )
 
     m12 = rng.random((n1, n2)) < spec.p12
     t1, t2 = np.nonzero(m12)
     e12_u = t1.astype(np.int64)
     e12_v = t2.astype(np.int64) + n1
 
-    u2, v2 = np.triu_indices(n2, k=1)
-    m22 = rng.random(u2.size) < spec.p22
-    e22_u = u2[m22].astype(np.int64) + n1
-    e22_v = v2[m22].astype(np.int64) + n1
+    row_start = _row_start(n2)
+    e22_u, e22_v = _pair_ends(
+        row_start, np.flatnonzero(rng.random(row_start[-1]) < spec.p22)
+    )
+    e22_u += n1
+    e22_v += n1
 
     u = np.concatenate([e11_u, e12_u, e22_u])
     v = np.concatenate([e11_v, e12_v, e22_v])
@@ -424,6 +451,9 @@ def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
     cluster_mask = graph.cluster_mask
     seen = np.zeros(graph.node_count, dtype=np.bool_)
     seen[announcer] = True
+    # new holds the next level; its bits of earlier levels are all seen,
+    # so masking by ~seen clears them too
+    new = np.zeros(graph.node_count, dtype=np.bool_)
     level = np.array([announcer], dtype=np.int64)
     cluster_merged = False
     while level.size:
@@ -432,9 +462,10 @@ def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
             members = graph.cluster[~seen[graph.cluster]]
             seen[members] = True
             level = np.concatenate((level, members))
-        nbrs = neighborhood(graph, level[forwards[level]])
-        level = np.unique(nbrs[~seen[nbrs]])
-        seen[level] = True
+        new[neighborhood(graph, level[forwards[level]])] = True
+        new &= ~seen
+        seen |= new
+        level = new.nonzero()[0]
     return seen
 
 

@@ -1,11 +1,12 @@
-"""Row-wise Poisson generation and depth-first reachability, the
-reference for the tests.
+"""Row-wise Poisson generation, tiered generation over np.triu_indices
+and depth-first reachability, the reference for the tests.
 
-The package draws Poisson pair uniforms in blocks of whole rows and
-finds reachable nodes by a level-synchronous breadth-first search over
-the CSR arrays.  The functions here do the same work one row and one
-node at a time, so the equivalence tests compare two implementations:
-graphs bit for bit, reachable sets exactly.
+The package draws Poisson pair uniforms in blocks of whole rows, maps
+pair hits back to endpoints through row start offsets, and finds
+reachable nodes by a level-synchronous breadth-first search over the CSR
+arrays.  The functions here do the same work one row, one index table
+and one node at a time, so the equivalence tests compare two
+implementations: graphs bit for bit, reachable sets exactly.
 """
 
 from __future__ import annotations
@@ -13,13 +14,18 @@ from __future__ import annotations
 import numpy as np
 
 from bgpconv.graphs import (
+    KIND_PEER11,
+    KIND_PEER22,
+    KIND_TRANSIT12,
+    ROLE_TIER1,
+    ROLE_TIER2,
     Graph,
     _sample_cluster,
     as_generator,
     forwarder_mask,
     from_edges,
 )
-from bgpconv.model import ModelParams
+from bgpconv.model import ModelParams, TieredCore
 
 
 def gen_poisson_rowwise(params: ModelParams, p_edge: float, seed) -> Graph:
@@ -38,6 +44,46 @@ def gen_poisson_rowwise(params: ModelParams, p_edge: float, seed) -> Graph:
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
     cluster = _sample_cluster(rng, n, params.k_cluster)
     return from_edges(n, u, v, cluster=cluster)
+
+
+def gen_tiered_core_triu(spec: TieredCore, seed) -> Graph:
+    """gen_tiered_core with the peering pairs listed by np.triu_indices."""
+    rng = as_generator(seed)
+    n1, n2 = spec.n1, spec.n2
+    n = n1 + n2
+
+    u1, v1 = np.triu_indices(n1, k=1)
+    m11 = rng.random(u1.size) < spec.p11
+    e11_u = u1[m11].astype(np.int64)
+    e11_v = v1[m11].astype(np.int64)
+
+    m12 = rng.random((n1, n2)) < spec.p12
+    t1, t2 = np.nonzero(m12)
+    e12_u = t1.astype(np.int64)
+    e12_v = t2.astype(np.int64) + n1
+
+    u2, v2 = np.triu_indices(n2, k=1)
+    m22 = rng.random(u2.size) < spec.p22
+    e22_u = u2[m22].astype(np.int64) + n1
+    e22_v = v2[m22].astype(np.int64) + n1
+
+    u = np.concatenate([e11_u, e12_u, e22_u])
+    v = np.concatenate([e11_v, e12_v, e22_v])
+    kinds = np.concatenate(
+        [
+            np.full(e11_u.size, KIND_PEER11, dtype=np.uint8),
+            np.full(e12_u.size, KIND_TRANSIT12, dtype=np.uint8),
+            np.full(e22_u.size, KIND_PEER22, dtype=np.uint8),
+        ]
+    )
+    roles = np.concatenate(
+        [
+            np.full(n1, ROLE_TIER1, dtype=np.uint8),
+            np.full(n2, ROLE_TIER2, dtype=np.uint8),
+        ]
+    )
+    cluster = _sample_cluster(rng, n1, spec.k1)
+    return from_edges(n, u, v, kinds=kinds, roles=roles, cluster=cluster)
 
 
 def reachable_set_dfs(graph: Graph, announcer: int) -> np.ndarray:

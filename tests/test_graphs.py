@@ -33,7 +33,7 @@ from bgpconv.graphs import (
     reachable_set,
 )
 from bgpconv.model import ConfigModel, ModelParams, Poisson, TieredCore
-from graph_reference import gen_poisson_rowwise, reachable_set_dfs
+from graph_reference import gen_poisson_rowwise, gen_tiered_core_triu, reachable_set_dfs
 
 
 # ---------------------------------------------------------------- full mesh
@@ -272,6 +272,24 @@ def test_tiered_saturated_probabilities():
     # complete within tiers and across: 10 + 40 + 28 edges
     assert g.edge_count == 10 + 40 + 28
     g.validate()
+
+
+@pytest.mark.parametrize("p22", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("k1", [1, 5])
+def test_tiered_offsets_match_triu_reference(p22, k1):
+    # one uniform per pair in both; only the pair-to-endpoint map differs
+    for seed in range(300):
+        spec = TieredCore(20, 100, k1, 0.5, 0.25, p22)
+        a, b = gen_tiered_core(spec, seed), gen_tiered_core_triu(spec, seed)
+        assert_same_graph(a, b)
+        np.testing.assert_array_equal(a.kinds, b.kinds)
+        np.testing.assert_array_equal(a.roles, b.roles)
+    for n1, n2 in ((1, 1), (1, 6), (6, 1), (2, 2)):
+        spec = TieredCore(n1, n2, 1, 0.7, 0.5, p22)
+        a, b = gen_tiered_core(spec, k1), gen_tiered_core_triu(spec, k1)
+        assert_same_graph(a, b)
+        np.testing.assert_array_equal(a.kinds, b.kinds)
+        np.testing.assert_array_equal(a.roles, b.roles)
 
 
 # ------------------------------------------------------------ reachability

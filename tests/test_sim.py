@@ -402,3 +402,96 @@ def test_cluster_merge_and_rate_keep_the_stream(monkeypatch, kernel, case, diges
                                     policy="reachable-only")
     assert hashlib.sha256(times.tobytes()).hexdigest() == digest
     assert used == draws
+
+
+def stuck_runs():
+    """(graph, announcer, lam) for 120 runs that leave nodes unreached:
+    disconnected Poisson graphs and tiered graphs with sparse transit."""
+    rng = np.random.default_rng(4242)
+    for seed in range(30):
+        flat = gg.gen_poisson(ModelParams(60, 1 + seed % 7), 0.03, seed)
+        tiered = gg.gen_tiered_core(TieredCore(10, 40, 1 + seed % 5, 0.3, 0.03, 0.05),
+                                    seed)
+        for g in (flat, tiered):
+            ann = gg.draw_announcer(rng, g)
+            for lam in (1.0, 0.7):
+                yield g, ann, lam
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "scalar"])
+def test_stuck_path_keeps_the_stream(monkeypatch, kernel):
+    # times (exact bytes) and draws used of reachable-only runs that end
+    # on an empty frontier, in one digest over all 120 runs
+    backend = "numpy"
+    if kernel == "scalar":
+        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+        monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
+        backend = "numba"
+    h = hashlib.sha256()
+    runs = 0
+    for run, (g, ann, lam) in enumerate(stuck_runs()):
+        times, used = run_dissemination(g, ann, 1.0 / lam, 1000 + run,
+                                        backend=backend, policy="reachable-only")
+        assert (times < 0).any()
+        h.update(times.tobytes())
+        h.update(np.int64(used).tobytes())
+        runs += 1
+    assert runs == 120
+    assert h.hexdigest() == "5cf7f10dd92b4072221625d7b75b58fa2657fabe3b0ae706ec88ef4ba4872487"
+
+
+def frontier_from_csr(g, forwards, uninformed):
+    """Uninformed nodes adjacent to an informed forwarder, from the CSR arrays."""
+    src = np.repeat(np.arange(g.node_count), g.degrees)
+    adjacent = np.zeros(g.node_count, dtype=np.bool_)
+    adjacent[g.indices[(~uninformed & forwards)[src]]] = True
+    return uninformed & adjacent
+
+
+def test_kernel_state_invariant_at_every_return():
+    # each kernel, called directly on short draw buffers, returns REFILL
+    # as well as OK and STUCK; at every return front is exactly the
+    # frontier and n_informed counts the informed nodes
+    kerns = [kernels._vector_kernel, kernels._scalar_kernel]
+    if kernels.HAS_NUMBA:
+        kerns.append(kernels._scalar_kernel_jit)
+    rng = np.random.default_rng(515)
+    seen = {kernels.STATUS_OK: 0, kernels.STATUS_REFILL: 0, kernels.STATUS_STUCK: 0}
+    for case in range(120):
+        if case % 2:
+            n1, n2 = int(rng.integers(1, 10)), int(rng.integers(1, 30))
+            p11, p12, p22 = rng.uniform(0.0, 0.6, 3)
+            g = gg.gen_tiered_core(
+                TieredCore(n1, n2, int(rng.integers(1, n1 + 1)), p11, p12, p22), case)
+        else:
+            n = int(rng.integers(1, 60))
+            g = gg.gen_poisson(ModelParams(n, int(rng.integers(1, n + 1))),
+                               float(rng.uniform(0.0, 0.3)), case)
+        ann = gg.draw_announcer(rng, g)
+        forwards = gg.forwarder_mask(g, ann)
+        inv_lam = 1.0 if case % 3 else 1 / 0.7
+        for kern in kerns:
+            uninformed = np.ones(g.node_count, dtype=np.bool_)
+            uninformed[g.cluster if g.cluster_mask[ann] else [ann]] = False
+            front = frontier_from_csr(g, forwards, uninformed)
+            out_times = np.where(uninformed, -1.0, 0.0)
+            n_informed, t = int((~uninformed).sum()), 0.0
+            stream = np.random.default_rng(case)
+            draws = kernels._delays(stream, int(rng.integers(1, 8)), inv_lam)
+            while True:
+                status, pos, n_informed, t = kern(
+                    g.indptr, g.indices, forwards, g.cluster_mask, g.cluster,
+                    g.cluster_neighborhood, front, uninformed, n_informed, t,
+                    draws, out_times,
+                )
+                seen[status] += 1
+                np.testing.assert_array_equal(
+                    front, frontier_from_csr(g, forwards, uninformed))
+                assert n_informed == int((~uninformed).sum())
+                np.testing.assert_array_equal(out_times >= 0, ~uninformed)
+                if status != kernels.STATUS_REFILL:
+                    break
+                draws = np.concatenate(
+                    (draws[pos:], kernels._delays(stream, int(rng.integers(1, 8)),
+                                                  inv_lam)))
+    assert min(seen.values()) >= 20, seen
