@@ -5,11 +5,18 @@ topology), sweep (penetration sweep with analytic-vs-simulation
 comparison), core (tiered case-study grid), export-graph /
 import-graph (edge-list files).
 
+Each option is declared once, with its type, choices, default and help
+(the shared ones in OPTIONS); a subcommand takes only the options its
+handler reads, so any other flag, and any abbreviated flag, is a usage
+error.  `bgpconv <command> --help` prints every default.
+
 Option precedence: explicit flags > --config file entries > built-in
 defaults.  Config files are flat `key = value` lines whose keys match
-the long flag names with dashes replaced by underscores.
+the long flag names with dashes replaced by underscores; the entries
+become the subcommand's defaults, and argv is parsed again over them.
 
-Exit codes: 0 success, 2 domain error, 3 unreachable topology, 4 I/O.
+Exit codes: 0 success, 2 domain or usage error, 3 unreachable
+topology, 4 I/O.
 """
 
 from __future__ import annotations
@@ -35,8 +42,7 @@ from .graphs import export_graph, gen_graph, import_graph
 from .model import ConfigModel, FullMesh, ModelParams, Poisson, TieredCore
 from .simulate import RunConfig, derive_seed, format_trace, simulate_batch, simulate_once
 
-DEFAULT_P22_VALUES = (0.1, 0.3, 0.5)
-DEFAULT_K1_VALUES = (1, 5, 10, 20)
+FLAT_FAMILIES = ("full-mesh", "poisson", "config-model")
 
 
 def _list_of(convert):
@@ -66,25 +72,80 @@ def _announcer(text: str):
         ) from None
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill options not given as flags from the --config file.
+# Every shared option, once: its flag is the key with dashes for
+# underscores.  argparse converts a string default with the option's
+# type, so a type that can return a string must return it unchanged
+# when given it again (as _announcer does with "uniform").
+OPTIONS = {
+    "family": dict(choices=FLAT_FAMILIES + ("tiered",), help="topology family"),
+    "n": dict(type=int, help="total node count"),
+    "k": dict(type=int, default=1, help="SDN cluster size (default %(default)s)"),
+    "lam": dict(type=float, default=1.0,
+                help="per-neighbor forwarding rate (default %(default)s)"),
+    "p_edge": dict(type=float, help="edge probability (poisson)"),
+    "mu_d": dict(type=float, help="prescribed mean degree (config-model)"),
+    "cv_d": dict(type=float, default=0.0,
+                 help="prescribed degree CV (config-model; default %(default)s)"),
+    "d_min": dict(type=int, help="power-law minimum degree (config-model)"),
+    "d_max": dict(type=int, help="power-law maximum degree (config-model)"),
+    "exponent": dict(type=float, help="power-law exponent (config-model)"),
+    "n1": dict(type=int, default=20, help="tier-1 size (default %(default)s)"),
+    "n2": dict(type=int, default=100, help="tier-2 size (default %(default)s)"),
+    "k1": dict(type=int, default=1, help="tier-1 cluster size (default %(default)s)"),
+    "p11": dict(type=float, default=0.5,
+                help="tier-1 peering prob (default %(default)s)"),
+    "p12": dict(type=float, default=0.25, help="transit prob (default %(default)s)"),
+    "p22": dict(type=float, default=0.2,
+                help="tier-2 peering prob (default %(default)s)"),
+    "degenerate": dict(choices=("error", "clamp"), default="error",
+                       help="degenerate-tail handling for config models "
+                       "(default %(default)s)"),
+    "announcer": dict(type=_announcer,
+                      help="node id or 'uniform' (redraw per run); unset, a "
+                      "regenerated tiered draw keeps the announcer it was "
+                      "certified for, and any other draw uses 'uniform'"),
+    "trace": dict(help="write run 0's event trace to this path"),
+    "fractions": dict(type=_list_of(float), default=DEFAULT_FRACTIONS,
+                      help="comma-separated k/N values (default %(default)s)"),
+    "p22_values": dict(type=_list_of(float), default=(0.1, 0.3, 0.5),
+                       help="comma-separated p22 grid (default %(default)s)"),
+    "k1_values": dict(type=_list_of(int), default=(1, 5, 10, 20),
+                      help="comma-separated k1 grid (default %(default)s)"),
+    "seed": dict(type=int, default=0, help="master seed (default %(default)s)"),
+    "runs": dict(type=int, default=200,
+                 help="runs per point or batch (default %(default)s)"),
+    "policy": dict(choices=tuple(RUN_POLICY), default="regenerate",
+                   help="unreachable draws: redraw, or cover what is reachable "
+                   "(default %(default)s)"),
+    "format": dict(choices=("csv", "json", "text"), default="text",
+                   help="output format (default %(default)s)"),
+    "out": dict(help="write output to this path instead of stdout"),
+    "config": dict(help="flat key = value option file"),
+}
 
-    Each value goes through its flag's own type and choices.  A key that
+
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv, with the --config file's entries as the defaults.
+
+    Each entry goes through its flag's own type and choices.  A key that
     names no subcommand's option (or names --config itself) is an error;
     one that only another subcommand defines is skipped, so one file can
     serve several subcommands.
     """
-    if getattr(args, "config", None) is None:
-        return
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:  # import-graph has no --config
+        return args
     commands = next(a for a in parser._actions if a.dest == "command").choices
-    own = {a.dest: a for a in commands[args.command]._actions}
-    known = {a.dest for sub in commands.values() for a in sub._actions}
+    sub = commands[args.command]
+    own = {a.dest: a for a in sub._actions}
+    known = {a.dest for s in commands.values() for a in s._actions}
     known -= {"help", "config"}
+    entries = {}
     for key, raw in parse_config(args.config).items():
         attr = key.replace("-", "_")
         if attr not in known:
             raise DomainError(f"unknown config key {key!r}")
-        if attr not in own or getattr(args, attr) is not None:
+        if attr not in own:
             continue
         action = own[attr]
         try:
@@ -94,23 +155,20 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if action.choices is not None and value not in action.choices:
             choices = ", ".join(action.choices)
             raise DomainError(f"config key {key!r}: {value!r} is not one of {choices}")
-        setattr(args, attr, value)
-
-
-def _get(args: argparse.Namespace, name: str, default):
-    value = getattr(args, name, None)
-    return default if value is None else value
+        entries[attr] = value
+    sub.set_defaults(**entries)
+    return parser.parse_args(argv)
 
 
 def _require(args: argparse.Namespace, name: str, family: str):
-    value = getattr(args, name, None)
+    value = getattr(args, name)
     if value is None:
         flag = "--" + name.replace("_", "-")
         raise DomainError(f"family {family!r} needs {flag}")
     return value
 
 
-def _flat_spec(args: argparse.Namespace, k: int, seed: int, need_graph: bool):
+def _flat_spec(args: argparse.Namespace, need_graph: bool):
     """Build a flat topology spec from family flags.
 
     need_graph forces a concrete degree sequence for config models;
@@ -118,37 +176,27 @@ def _flat_spec(args: argparse.Namespace, k: int, seed: int, need_graph: bool):
     """
     family = _require(args, "family", "<missing>")
     n = _require(args, "n", family)
-    lam = _get(args, "lam", 1.0)
-    params = ModelParams(int(n), int(k), float(lam))
+    params = ModelParams(n, args.k, args.lam)
     if family == "full-mesh":
         return FullMesh(params)
     if family == "poisson":
-        return Poisson(params, float(_require(args, "p_edge", family)))
+        return Poisson(params, _require(args, "p_edge", family))
     if family == "config-model":
-        if not need_graph and getattr(args, "mu_d", None) is not None:
-            return ConfigModel(
-                params, mu_d=float(args.mu_d), cv_d=float(_get(args, "cv_d", 0.0))
-            )
-        d_min = _require(args, "d_min", family)
-        d_max = _require(args, "d_max", family)
-        exponent = _require(args, "exponent", family)
+        if not need_graph and args.mu_d is not None:
+            return ConfigModel(params, mu_d=args.mu_d, cv_d=args.cv_d)
         template = power_law_config_spec(
-            int(n), int(d_min), int(d_max), float(exponent), seed, float(lam)
+            n,
+            _require(args, "d_min", family),
+            _require(args, "d_max", family),
+            _require(args, "exponent", family),
+            args.seed,
         )
         return ConfigModel(params, degree_seq=template.degree_seq)
     raise DomainError(f"unknown family {family!r}")
 
 
-def _tiered_spec(args: argparse.Namespace, k1: int | None = None) -> TieredCore:
-    return TieredCore(
-        n1=int(_get(args, "n1", 20)),
-        n2=int(_get(args, "n2", 100)),
-        k1=int(k1 if k1 is not None else _get(args, "k1", 1)),
-        p11=float(_get(args, "p11", 0.5)),
-        p12=float(_get(args, "p12", 0.25)),
-        p22=float(_get(args, "p22", 0.2)),
-        lam=float(_get(args, "lam", 1.0)),
-    )
+def _tiered_spec(args: argparse.Namespace) -> TieredCore:
+    return TieredCore(args.n1, args.n2, args.k1, args.p11, args.p12, args.p22, args.lam)
 
 
 def _emit(rows, fmt: str, out: str | None) -> None:
@@ -159,40 +207,33 @@ def _emit(rows, fmt: str, out: str | None) -> None:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    fmt = _get(args, "format", "text")
-    seed = int(_get(args, "seed", 0))
-    if getattr(args, "family", None) == "tiered":
+    if args.family == "tiered":
         record = dataclasses.asdict(core_convergence_time(_tiered_spec(args)))
     else:
-        spec = _flat_spec(args, int(_get(args, "k", 1)), seed, need_graph=False)
-        est = convergence_time(spec, degenerate=_get(args, "degenerate", "error"))
+        spec = _flat_spec(args, need_graph=False)
+        est = convergence_time(spec, degenerate=args.degenerate)
         record = {"expected_time": est.expected_time}
-    _emit(record, fmt, getattr(args, "out", None))
+    _emit(record, args.format, args.out)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    seed = int(_get(args, "seed", 0))
-    runs = int(_get(args, "runs", 200))
-    policy = _get(args, "policy", "regenerate")
-    fmt = _get(args, "format", "text")
-    if getattr(args, "family", None) == "tiered":
+    if args.family == "tiered":
         spec = _tiered_spec(args)
     else:
-        spec = _flat_spec(args, int(_get(args, "k", 1)), seed, need_graph=True)
+        spec = _flat_spec(args, need_graph=True)
 
-    graph, drawn = draw_point(spec, derive_seed(seed, 1), policy)
-    announcer = _get(args, "announcer", None)
+    graph, drawn = draw_point(spec, derive_seed(args.seed, 1), args.policy)
+    announcer = args.announcer
     if announcer is None:
         # a regenerated tiered draw is certified reachable from its own
         # announcer only, so pin it; flat coverage is announcer-independent
-        announcer = drawn if graph.is_tiered and policy == "regenerate" else "uniform"
+        announcer = drawn if graph.is_tiered and args.policy == "regenerate" else "uniform"
     cfg = RunConfig(
-        graph, announcer, float(_get(args, "lam", 1.0)), derive_seed(seed, 2),
-        RUN_POLICY[policy],
+        graph, announcer, args.lam, derive_seed(args.seed, 2), RUN_POLICY[args.policy]
     )
-    batch = simulate_batch(cfg, runs)
-    if getattr(args, "trace", None) is not None:
+    batch = simulate_batch(cfg, args.runs)
+    if args.trace is not None:
         with open(args.trace, "w", encoding="ascii") as fh:
             fh.write(format_trace(simulate_once(cfg, run_index=0)))
     stats = batch.stats
@@ -205,38 +246,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "ci_low": lo,
         "ci_high": hi,
     }
-    _emit(record, fmt, getattr(args, "out", None))
+    _emit(record, args.format, args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    seed = int(_get(args, "seed", 0))
-    template = _flat_spec(args, 1, seed, need_graph=True)
     spec = SweepSpec(
-        topology=template,
-        sweep_values=tuple(_get(args, "fractions", DEFAULT_FRACTIONS)),
-        runs_per_point=int(_get(args, "runs", 200)),
-        master_seed=seed,
-        policy=_get(args, "policy", "regenerate"),
+        topology=_flat_spec(args, need_graph=True),
+        sweep_values=args.fractions,
+        runs_per_point=args.runs,
+        master_seed=args.seed,
+        policy=args.policy,
     )
-    _emit(run_sweep(spec), _get(args, "format", "csv"), getattr(args, "out", None))
+    _emit(run_sweep(spec), args.format, args.out)
     return 0
 
 
 def cmd_core(args: argparse.Namespace) -> int:
-    seed = int(_get(args, "seed", 0))
-    p22_values = tuple(_get(args, "p22_values", DEFAULT_P22_VALUES))
-    k1_values = tuple(_get(args, "k1_values", DEFAULT_K1_VALUES))
-    template = _tiered_spec(args, k1=1)
     result = run_case_study(
-        template,
-        p22_values,
-        k1_values,
-        runs_per_point=int(_get(args, "runs", 5000)),
-        master_seed=seed,
-        policy=_get(args, "policy", "regenerate"),
+        _tiered_spec(args),
+        args.p22_values,
+        args.k1_values,
+        runs_per_point=args.runs,
+        master_seed=args.seed,
+        policy=args.policy,
     )
-    _emit(result, _get(args, "format", "csv"), getattr(args, "out", None))
+    _emit(result, args.format, args.out)
     for p22 in sorted(result.best_k1):
         best = result.best_k1[p22]
         verdict = f"smallest k1 beating the k1=1 baseline: {best}" if best \
@@ -246,13 +281,11 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def cmd_export_graph(args: argparse.Namespace) -> int:
-    seed = int(_get(args, "seed", 0))
-    if getattr(args, "family", None) == "tiered":
+    if args.family == "tiered":
         spec = _tiered_spec(args)
     else:
-        spec = _flat_spec(args, int(_get(args, "k", 1)), seed, need_graph=True)
-    graph = gen_graph(spec, seed)
-    export_graph(graph, args.out)
+        spec = _flat_spec(args, need_graph=True)
+    export_graph(gen_graph(spec, args.seed), args.out)
     return 0
 
 
@@ -265,55 +298,10 @@ def cmd_import_graph(args: argparse.Namespace) -> int:
         "cluster_size": int(graph.cluster.size),
         "tiered": "true" if graph.is_tiered else "false",
     }
-    _emit(record, _get(args, "format", "text"), None)
-    if getattr(args, "out", None) is not None:
+    _emit(record, args.format, None)
+    if args.out is not None:
         export_graph(graph, args.out)
     return 0
-
-
-def _add_common(sub: argparse.ArgumentParser, with_policy: bool = True) -> None:
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
-    sub.add_argument("--runs", type=int, help="runs per point/batch")
-    sub.add_argument("--format", choices=("csv", "json", "text"),
-                     help="output format")
-    sub.add_argument("--out", help="write output to this path instead of stdout")
-    if with_policy:
-        sub.add_argument("--policy", choices=tuple(RUN_POLICY),
-                         help="unreachable draws: redraw, or cover what is reachable")
-    sub.add_argument("--config", help="flat key = value option file")
-
-
-def _add_flat_family(sub: argparse.ArgumentParser, tiered_ok: bool) -> None:
-    families = ("full-mesh", "poisson", "config-model") + (
-        ("tiered",) if tiered_ok else ()
-    )
-    sub.add_argument("--family", choices=families, help="topology family")
-    sub.add_argument("--n", type=int, help="total node count")
-    sub.add_argument("--k", type=int, help="SDN cluster size (default 1)")
-    sub.add_argument("--lam", type=float, help="per-neighbor forwarding rate")
-    sub.add_argument("--p-edge", dest="p_edge", type=float,
-                     help="edge probability (poisson)")
-    sub.add_argument("--mu-d", dest="mu_d", type=float,
-                     help="prescribed mean degree (config-model, analytic only)")
-    sub.add_argument("--cv-d", dest="cv_d", type=float,
-                     help="prescribed degree CV (config-model, analytic only)")
-    sub.add_argument("--d-min", dest="d_min", type=int,
-                     help="power-law minimum degree (config-model)")
-    sub.add_argument("--d-max", dest="d_max", type=int,
-                     help="power-law maximum degree (config-model)")
-    sub.add_argument("--exponent", type=float,
-                     help="power-law exponent (config-model)")
-    if tiered_ok:
-        _add_tiered_params(sub)
-
-
-def _add_tiered_params(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n1", type=int, help="tier-1 size (default 20)")
-    sub.add_argument("--n2", type=int, help="tier-2 size (default 100)")
-    sub.add_argument("--k1", type=int, help="tier-1 cluster size (default 1)")
-    sub.add_argument("--p11", type=float, help="tier-1 peering prob (default 0.5)")
-    sub.add_argument("--p12", type=float, help="transit prob (default 0.25)")
-    sub.add_argument("--p22", type=float, help="tier-2 peering prob (default 0.2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,62 +312,50 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Option precedence: explicit flags > --config file > defaults. "
         "Config files hold one `key = value` per line; keys are the long "
         "flag names with dashes as underscores.",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("analytic", help="closed-form expected convergence time")
-    _add_flat_family(p, tiered_ok=True)
-    p.add_argument("--degenerate", choices=("error", "clamp"),
-                   help="degenerate-tail handling for config models")
-    _add_common(p, with_policy=False)
-    p.set_defaults(handler=cmd_analytic)
+    def command(name, handler, summary, options, **defaults):
+        sub = subs.add_parser(name, help=summary, allow_abbrev=False)
+        for option in options.split():
+            sub.add_argument("--" + option.replace("_", "-"), **OPTIONS[option])
+        sub.set_defaults(handler=handler, **defaults)
+        return sub
 
-    p = subs.add_parser("simulate", help="Monte Carlo batch on one topology")
-    _add_flat_family(p, tiered_ok=True)
-    p.add_argument("--announcer", type=_announcer,
-                   help="node id or 'uniform' (redraw per run)")
-    p.add_argument("--trace", help="write run 0's event trace to this path")
-    _add_common(p)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = subs.add_parser("sweep", help="penetration sweep, analytic vs simulated")
-    _add_flat_family(p, tiered_ok=False)
-    p.add_argument("--fractions", type=_list_of(float),
-                   help="comma-separated k/N values (default 0.0..1.0 step 0.1)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = subs.add_parser("core", help="tiered case-study grid over (p22, k1)")
-    _add_tiered_params(p)
-    p.add_argument("--lam", type=float, help="per-neighbor forwarding rate")
-    p.add_argument("--p22-values", dest="p22_values", type=_list_of(float),
-                   help="comma-separated p22 grid (default 0.1,0.3,0.5)")
-    p.add_argument("--k1-values", dest="k1_values", type=_list_of(int),
-                   help="comma-separated k1 grid (default 1,5,10,20)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_core)
-
-    p = subs.add_parser("export-graph", help="generate a graph and write it")
-    _add_flat_family(p, tiered_ok=True)
+    # Besides its own defaults, a subcommand fixes placeholders for spec
+    # fields its result does not depend on: sweep replaces k at every
+    # point, core replaces k1 and p22, and export-graph writes no rate.
+    flat = "n k lam p_edge d_min d_max exponent"
+    tiered = "n1 n2 k1 p11 p12 p22"
+    common = "seed format out config"
+    command("analytic", cmd_analytic, "closed-form expected convergence time",
+            f"family {flat} mu_d cv_d {tiered} degenerate {common}")
+    command("simulate", cmd_simulate, "Monte Carlo batch on one topology",
+            f"family {flat} {tiered} announcer trace runs policy {common}")
+    p = command("sweep", cmd_sweep, "penetration sweep, analytic vs simulated",
+                f"n lam p_edge d_min d_max exponent fractions runs policy {common}",
+                format="csv", k=1)
+    p.add_argument("--family", choices=FLAT_FAMILIES, help="topology family")
+    command("core", cmd_core, "tiered case-study grid over (p22, k1)",
+            f"n1 n2 p11 p12 lam p22_values k1_values runs policy {common}",
+            runs=5000, format="csv", k1=1, p22=0.0)
+    p = command("export-graph", cmd_export_graph, "generate a graph and write it",
+                f"family n k p_edge d_min d_max exponent {tiered} seed config",
+                lam=1.0)
     p.add_argument("--out", required=True, help="edge-list destination path")
-    p.add_argument("--seed", type=int, help="generation seed (default 0)")
-    p.add_argument("--config", help="flat key = value option file")
-    p.set_defaults(handler=cmd_export_graph)
-
-    p = subs.add_parser("import-graph", help="read, validate, and summarize a graph")
+    p = command("import-graph", cmd_import_graph,
+                "read, validate, and summarize a graph", "format")
     p.add_argument("--in", dest="infile", required=True, help="edge-list source path")
     p.add_argument("--out", help="re-export the parsed graph to this path")
-    p.add_argument("--format", choices=("csv", "json", "text"))
-    p.set_defaults(handler=cmd_import_graph)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args)
+        args = _parse(parser, argv)
         return args.handler(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

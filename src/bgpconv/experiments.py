@@ -50,8 +50,11 @@ def draw_point(spec: TopologySpec, seed: int, policy: str) -> tuple[Graph, int]:
     "regenerate" redraws until the announcer reaches every node
     (ensure_reachable); "reachable-only" keeps attempt 0 of that same
     stream, reachable or not.  Either way the announcer is drawn from
-    the graph's Generator right after the graph.
+    the graph's Generator right after the graph.  Any other policy is a
+    DomainError.
     """
+    if policy not in RUN_POLICY:
+        raise DomainError(f"unknown policy {policy!r}")
     if policy == "regenerate":
         draw = ensure_reachable(spec, seed)
         return draw.graph, draw.announcer
@@ -275,24 +278,9 @@ def run_case_study(
     if not p22_values or not k1_values:
         raise DomainError("case study needs nonempty p22 and k1 grids")
 
-    grid = list(
-        itertools.product(
-            sorted(float(p) for p in p22_values),
-            sorted(int(k) for k in k1_values),
-        )
-    )
-    partial = []
-    for j, (p22, k1) in enumerate(grid):
-        try:
-            spec_pt = replace(template, k1=k1, p22=p22)
-            est = core_convergence_time(spec_pt)
-            stats = _case_study_point(spec_pt, runs_per_point, master_seed, j, policy)
-            partial.append((p22, k1, est, stats, None))
-        except (*DOMAIN_ERRORS, UnreachableTopologyError) as exc:
-            partial.append((p22, k1, None, None, f"{type(exc).__name__}: {exc}"))
-
+    p22_grid = sorted(float(p) for p in p22_values)
     baselines: dict[float, float] = {}
-    for p22 in sorted(set(p for p, _ in grid)):
+    for p22 in sorted(set(p22_grid)):
         try:
             baselines[p22] = core_convergence_time(
                 replace(template, k1=1, p22=p22)
@@ -301,9 +289,14 @@ def run_case_study(
             baselines[p22] = math.nan
 
     rows: list[CoreRow] = []
-    best_k1: dict = {}
-    for p22, k1, est, stats, err in partial:
-        if err is not None:
+    best_k1: dict = dict.fromkeys(baselines)
+    grid = itertools.product(p22_grid, sorted(int(k) for k in k1_values))
+    for j, (p22, k1) in enumerate(grid):
+        try:
+            spec_pt = replace(template, k1=k1, p22=p22)
+            est = core_convergence_time(spec_pt)
+            stats = _case_study_point(spec_pt, runs_per_point, master_seed, j, policy)
+        except (*DOMAIN_ERRORS, UnreachableTopologyError) as exc:
             rows.append(
                 CoreRow(
                     p22=p22, k1=k1,
@@ -311,12 +304,12 @@ def run_case_study(
                     analytic_transit=math.nan, sim_mean=math.nan,
                     sim_std_err=math.nan, rel_error=math.nan,
                     runs=runs_per_point, seed=master_seed,
-                    beats_baseline=False, error=err,
+                    beats_baseline=False, error=f"{type(exc).__name__}: {exc}",
                 )
             )
             continue
         beats = est.t_total < baselines[p22]
-        if beats and (p22 not in best_k1 or k1 < best_k1[p22]):
+        if beats and (best_k1[p22] is None or k1 < best_k1[p22]):
             best_k1[p22] = k1
         rows.append(
             CoreRow(
@@ -332,8 +325,6 @@ def run_case_study(
                 beats_baseline=beats,
             )
         )
-    for p22 in baselines:
-        best_k1.setdefault(p22, None)
     return CaseStudyResult(rows=tuple(rows), best_k1=best_k1)
 
 

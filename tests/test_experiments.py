@@ -5,6 +5,7 @@ verbatim, so the column list and the 9-significant-digit float rendering
 are pinned byte-for-byte here.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -408,6 +409,91 @@ def test_cli_bad_announcer_is_a_usage_error(announcer_flag, tmp_path, capsys):
     assert run_cli(*argv, "--announcer", "5") == 0
 
 
+# one argv per subcommand that parses and runs as it stands
+CLI_BASE_ARGV = {
+    "analytic": ("analytic", "--family", "full-mesh", "--n", "4"),
+    "simulate": ("simulate", "--family", "full-mesh", "--n", "8", "--runs", "3"),
+    "sweep": ("sweep", "--family", "full-mesh", "--n", "10", "--fractions", "0.5",
+              "--runs", "2"),
+    "core": ("core", "--n1", "4", "--n2", "8", "--p22-values", "0.1", "--k1-values", "1",
+             "--runs", "2"),
+    "export-graph": ("export-graph", "--family", "full-mesh", "--n", "4", "--out", "{out}"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("analytic", "--runs"),
+    ("simulate", "--mu-d"), ("simulate", "--cv-d"),
+    ("sweep", "--k"), ("sweep", "--mu-d"), ("sweep", "--cv-d"),
+    ("core", "--k1"), ("core", "--p22"),
+    ("export-graph", "--lam"), ("export-graph", "--mu-d"), ("export-graph", "--cv-d"),
+])
+def test_cli_rejects_a_flag_its_subcommand_does_not_read(command, flag, tmp_path, capsys):
+    argv = [a.format(out=tmp_path / "g.graph") for a in CLI_BASE_ARGV[command]]
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, flag, "1")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--fam", "full-mesh", "--n", "4"),
+    ("analytic", "--family", "full-mesh", "--n", "4", "--deg", "clamp"),
+    ("core", "--p22-v", "0.3", "--runs", "2"),
+    ("--h",),
+], ids=["--fam", "--deg", "--p22-v", "--h"])
+def test_cli_rejects_abbreviated_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
+def test_cli_config_key_of_another_subcommand_is_skipped(tmp_path, capsys):
+    # --k is an analytic/simulate/export-graph option, not a sweep one
+    cfg = tmp_path / "sweep.cfg"
+    options = "family = poisson\nn = 40\np_edge = 0.15\nfractions = 0.2\nruns = 10\n"
+    cfg.write_text(options)
+    assert run_cli("sweep", "--config", str(cfg)) == 0
+    base = capsys.readouterr().out
+    cfg.write_text(options + "k = 5\n")
+    assert run_cli("sweep", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == base
+
+
+def test_cli_seed_flag_beats_config_beats_default(tmp_path, capsys):
+    argv = ("simulate", "--family", "full-mesh", "--n", "12", "--k", "2", "--runs", "20")
+
+    def stdout(*extra):
+        assert run_cli(*argv, *extra) == 0
+        return capsys.readouterr().out
+
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 3\n")
+    default, flag_3 = stdout(), stdout("--seed", "3")
+    assert default != flag_3
+    assert default == stdout("--seed", "0")
+    assert stdout("--config", str(cfg)) == flag_3
+    assert stdout("--config", str(cfg), "--seed", "0") == default
+
+
+@pytest.mark.parametrize("command", sorted(CLI_BASE_ARGV) + ["import-graph"])
+def test_cli_help_prints_every_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    defaults = [
+        a.default for a in commands[command]._actions
+        if a.default not in (None, argparse.SUPPRESS)
+    ]
+    assert defaults
+    for default in defaults:
+        assert f"default {default})" in text, default
+
+
 def test_cli_import_graph_rejects_malformed_files(tmp_path, capsys):
     cases = {
         "n abc\ncluster 0\n": "non-integer",
@@ -441,6 +527,11 @@ def test_reachable_only_keeps_attempt_zero_of_the_regenerate_stream():
     sparse = Poisson(ModelParams(30, 1, 1.0), 0.02)
     graph, origin = draw_point(sparse, 3, "reachable-only")
     assert not bc.reachable_set(graph, origin).all()
+
+
+def test_draw_point_rejects_an_unknown_policy():
+    with pytest.raises(DomainError, match="bogus"):
+        draw_point(Poisson(ModelParams(30, 1, 1.0), 0.02), 3, "bogus")
 
 
 PINNED_GRAPH = (

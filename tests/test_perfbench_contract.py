@@ -1,29 +1,44 @@
-"""The names and results the benchmark harness relies on.
+"""The names, results and command lines the benchmark harness relies on.
 
 perfbench/spans.py wraps bgpconv functions by dotted path and reads
-counts from their results; a rename or a changed result type would
+counts from their results, and perfbench/workloads.py runs the CLI with
+fixed argv; a rename, a changed result type or a dropped flag would
 only show when the benchmark runs.  These tests load the harness's
 tables by path, without importing the harness as a package.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from bgpconv import cli
 from bgpconv.analytic import convergence_time
 from bgpconv.model import ConfigModel, FullMesh, ModelParams, Poisson
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve string annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_span_path_names_a_bgpconv_callable(spans):
@@ -47,3 +62,13 @@ def test_profile_bytes_count_is_the_float64_degree_matrix(spans, spec):
     steps = spec.params.steps
     count = spans.COUNTS["analytic.convergence_time"](convergence_time(spec))
     assert count == 8 * (steps + 1) * steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_every_workload_argv_parses(workloads, seed):
+    parser = cli.build_parser()
+    for name, workload in workloads.WORKLOADS.items():
+        for invocation in workload.make_pass(seed) + workload.make_checks(seed):
+            # the harness appends --out to every invocation
+            args = parser.parse_args(list(invocation.argv) + ["--out", "result"])
+            assert callable(args.handler), (name, invocation.argv)
