@@ -11,6 +11,7 @@ Two independent oracles anchor this file:
 Everything else pins worked values that were derived by hand.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -178,6 +179,59 @@ def test_evaluation_matches_the_degree_matrix(spec, mode):
         np.testing.assert_allclose(values, want, rtol=1e-15, atol=0.0)
     per_x = (1.0 / spec.params.lam / values).sum(axis=1)
     np.testing.assert_allclose(est.per_x_expectation, per_x, rtol=1e-12, atol=0.0)
+
+
+# (N, k, lam, mu_d, cv_d, mode) -> exact E[T] and sha256 of E[T|x]'s bytes
+CONFIG_PINS = [
+    ((1500, 15, 1.0, 13.4, 1.05, "clamp"), 8.817120187737704,
+     "b205cfdb2a4d42d56f0a08af64f7e160868f417c92ed195fce89271fe8ead4aa"),
+    ((2, 1, 1.0, 1.5, 0.2, "error"), 0.8142316802963212,
+     "55bd837a26c998c0eef4040e57f21cb672dfc8eb65469f77ca33bacf4b44c194"),
+    ((2, 1, 1.0, 13.4, 1.05, "clamp"), 0.09114533734660311,
+     "f0e069862ef1def9f3dd35326daa39903e0c0932cf531a2b90bb1654c0fc27ef"),
+    ((3, 1, 2.0, 4.0, 2.5, "clamp"), 0.6347146554661756,
+     "3fe3eb5845eef6a050c2f8f56878d521685e8e498a0c403485173ea2b54b88c1"),
+    ((3, 2, 1.0, 1.5, 0.2, "error"), 0.6267729896119277,
+     "d74dbbd272f79ea027640b8cecc6f245725678a0430cee11aeec30da3c6bea82"),
+    ((3, 2, 1.0, 13.4, 1.05, "clamp"), 0.070161155553574,
+     "83e8df2d3f78e04e5142269446385251166f931f9a1a375aad090acc240cc428"),
+    ((200, 199, 1.0, 4.0, 0.5, "error"), 0.04819886749716652,
+     "5affe44b19b60f661c1a9dac9751d0b6c1fa962ff2118da557dda4d9e942660c"),
+    ((200, 199, 1.0, 13.4, 1.05, "clamp"), 0.014387721640945228,
+     "042ec98fdb38c37c7b5b061a9f6dde17a7c47b28b36b2d12e40a8d0f2231169d"),
+    ((50, 1, 0.5, 4.0, 2.5, "clamp"), 16.657602244950212,
+     "c74e96bde3a37e051de73963a7d2082e9970f9c3f482c3cb6ff8ab937885f68f"),
+    ((50, 1, 0.5, 3.0, 0.0, "clamp"), 13.915973151756774,
+     "b784cd2dcdac2926d2dcf96395b6652b4f1b47e9c7dc6e4f7f96287ef0b11f2d"),
+    ((120, 10, 3.0, 4.0, 0.5, "clamp"), 2.3209606803381653,
+     "8defddf9be5eca57b251fe82b91adfe91fd9c28411b37cbfb8286fa5ead7072f"),
+]
+
+# (N, k, lam, mu_d, cv_d) in error mode -> (step, sdn_hit_step, value)
+CONFIG_DEGENERATE_PINS = [
+    ((20, 5, 1.0, 4.0, 2.0), (13, 1, -0.952918419298753)),
+    ((1500, 15, 1.0, 13.4, 1.05), (1485, 0, -0.0064265759956634305)),
+    ((3, 1, 2.0, 4.0, 0.5), (2, 0, -6.731162594595945)),
+    ((30, 7, 3.0, 1.5, 0.2), (23, 18, -0.011740377552548642)),
+    ((120, 10, 3.0, 4.0, 0.5), (110, 58, 8.142182383874541e-07)),
+]
+
+
+@pytest.mark.parametrize("spec,expected,digest", CONFIG_PINS)
+def test_config_model_evaluation_is_pinned_bit_for_bit(spec, expected, digest):
+    n, k, lam, mu_d, cv_d, mode = spec
+    est = convergence_time(ConfigModel(ModelParams(n, k, lam), mu_d=mu_d, cv_d=cv_d), mode)
+    assert repr(est.expected_time) == repr(expected)
+    assert hashlib.sha256(est.per_x_expectation.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec,where", CONFIG_DEGENERATE_PINS)
+def test_config_model_degenerate_entry_is_pinned(spec, where):
+    n, k, lam, mu_d, cv_d = spec
+    with pytest.raises(ModelDegenerateError) as exc:
+        convergence_time(ConfigModel(ModelParams(n, k, lam), mu_d=mu_d, cv_d=cv_d), "error")
+    got = (exc.value.step, exc.value.sdn_hit_step, exc.value.value)
+    assert repr(got) == repr(where)
 
 
 # ---------------------------------------------------------------- degrees
