@@ -17,7 +17,9 @@ true mean for the exact model).
 Each family has one degree computation, vectorized over x.  Full mesh
 and Poisson: _flat_degrees gives D as a function of the informed count
 n alone, and D(i|x) = D(n(i|x)).  Config model: _config_columns runs
-the degree recurrence one step i at a time over every x.  Both
+the degree recurrence one step i at a time; the rows x >= i share one
+state and are carried as one scalar, so a step updates only the rows
+[0, i) and the evaluation costs about N^2/2 elementwise work.  Both
 convergence_time and the D(i|x) matrix behind
 ConvergenceEstimate.profile read these two.
 """
@@ -110,27 +112,6 @@ class CoreEstimate:
             raise AssertionError("t_total is not the max of its branches")
 
 
-def degree_config_first(x: int, params: ModelParams, mu_d: float) -> float:
-    """Expected first-step bgp-degree on a config-model graph.
-
-    For x > 0 the announcer is a typical node, so its expected degree is
-    mu_d.  For x = 0 the whole k-cluster is informed at once and the
-    expected count of distinct outside neighbors is
-    (N - k) * mu_d * ln(N / (N - k)).
-    """
-    if not mu_d > 0:
-        raise DomainError(f"mu_d must be positive, got {mu_d}")
-    n, k = params.n_total, params.k_cluster
-    if k == n:
-        raise DomainError("no steps remain when the cluster spans the network")
-    steps = params.steps
-    if not 0 <= x <= steps:
-        raise DomainError(f"x must be in [0, {steps}], got {x}")
-    if x > 0:
-        return mu_d
-    return (n - k) * mu_d * math.log(n / (n - k))
-
-
 def _flat_degrees(spec: FullMesh | Poisson) -> np.ndarray:
     """D as a function of the informed count alone, for n = 1..N-1.
 
@@ -162,52 +143,90 @@ def _check_flat_degrees(degrees: np.ndarray, params: ModelParams) -> None:
     raise ModelDegenerateError(i + 1, x, float(degrees[n_row[i] - 1]))
 
 
-def _config_columns(spec: ConfigModel, degenerate: str) -> Iterator[np.ndarray]:
+def _config_columns(
+    spec: ConfigModel, degenerate: str
+) -> Iterator[tuple[np.ndarray, float]]:
     """Config-model degrees D(i|.) over every x in [0, N-k], one step i at a time.
 
     Runs the recurrence D(i) = A(i-1) * D(i-1) + (mu_d(i-1) - 1), with
-    A(j) = 1 - mu_d(j) / (N - n(j|x) - 1), for all rows at once.  The
-    mean residual degree mu_d(j) of the j-th informed node decays
-    because early steps preferentially reach high-degree nodes:
+    A(j) = 1 - mu_d(j) / (N - n(j|x) - 1).  The mean residual degree
+    mu_d(j) of the j-th informed node decays because early steps
+    preferentially reach high-degree nodes:
     mu_d(j) = mu_d * prod_{m=1}^{j-1} (1 - cv_d^2 / (N - n(m|x) - 1)).
+
+    Every row x >= max(i, 1) has taken only pre-hit steps, n(j|x) = j,
+    so the rows [i, N-k] share one state (D, mu_d, clamp flag), kept as
+    scalars.  The rows [0, i) the hit has reached form a growing prefix
+    whose steps all have n(j|x) = j + k - 1, so each step updates it
+    with one scalar denominator; row i-1 joins it at step i, carrying
+    the shared state.  That is about N^2/2 elementwise work in all, and
+    each entry takes the same operations in the same order as a row
+    evaluated alone.  Each step yields (head, tail): head[x] = D(i|x)
+    for x in [0, i), and tail = D(i|x) for every x in [i, N-k].
+
     Clamp mode switches a row to the full-mesh degree N - n(i|x) from
-    its first step below TAIL_FLOOR on; error mode raises
+    its first step below TAIL_FLOOR on.  Error mode raises
     ModelDegenerateError at the first sub-floor entry in row-major
-    order, once no earlier row can produce one.  A yielded column is
-    valid until the next one is requested.
+    (x, i) order; it yields only the steps before the first sub-floor
+    entry is seen, then runs on over the rows that could still hold an
+    earlier one.  A yielded head is valid until the next step is
+    requested.
     """
     if degenerate not in ("error", "clamp"):
         raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
+    clamp = degenerate == "clamp"
     params = spec.params
     n_total, k, steps = params.n_total, params.k_cluster, params.steps
     mu_d, cv2 = spec.mu_d, spec.cv_d * spec.cv_d
-    xs = np.arange(steps + 1, dtype=np.int64)
-    d = np.full(steps + 1, mu_d, dtype=np.float64)
-    d[0] = degree_config_first(0, params, mu_d)
-    mu = np.full(steps + 1, mu_d, dtype=np.float64)
-    clamped = np.zeros(steps + 1, dtype=bool)
+    # the rows the hit has reached; row 0 starts there, its first degree
+    # the expected count of distinct outside neighbors of the cluster
+    d = np.empty(steps, dtype=np.float64)
+    mu = np.empty(steps, dtype=np.float64)
+    clamped = np.zeros(steps, dtype=bool)
+    scratch = np.empty(steps, dtype=np.float64)
+    d[0] = (n_total - k) * mu_d * math.log(n_total / (n_total - k))
+    mu[0] = mu_d
+    # the block of rows [i, N-k], which share one state
+    d_s, mu_s, clamped_s = mu_d, mu_d, False
     bad: tuple[int, int, float] | None = None
     limit = steps + 1  # rows that can still hold the first sub-floor entry
-    n_prev = None
     for i in range(1, steps + 1):
-        n_i = np.where(xs < i, i + k - 1, i)  # n(i|x)
-        if n_prev is not None:
-            # n(i-1|x) <= N - 2 for every step that exists, so denom >= 1
-            denom = n_total - n_prev - 1
-            d = (1.0 - mu / denom) * d + (mu - 1.0)
-            mu *= 1.0 - cv2 / denom
-        n_prev = n_i
-        if degenerate == "clamp":
-            clamped |= d < TAIL_FLOOR
-            yield np.where(clamped, n_total - n_i, d)
+        if i > 1:
+            # denom = N - n(i-1|x) - 1 >= 1: n = i + k - 2 on the rows
+            # [0, i-1) the hit has reached, n = i - 1 in the block
+            denom = n_total - i - k + 1
+            d_h, mu_h, t = d[: i - 1], mu[: i - 1], scratch[: i - 1]
+            np.divide(mu_h, denom, out=t)
+            np.subtract(1.0, t, out=t)
+            d_h *= t
+            np.subtract(mu_h, 1.0, out=t)
+            d_h += t
+            mu_h *= 1.0 - cv2 / denom
+            denom = n_total - i
+            d_s = (1.0 - mu_s / denom) * d_s + (mu_s - 1.0)
+            mu_s *= 1.0 - cv2 / denom
+            # the hit reaches row i-1 at step i: it leaves the block
+            d[i - 1], mu[i - 1], clamped[i - 1] = d_s, mu_s, clamped_s
+        head = d[:i]
+        if clamp:
+            clamped[:i] |= head < TAIL_FLOOR
+            clamped_s = clamped_s or d_s < TAIL_FLOOR
+            yield (
+                np.where(clamped[:i], float(n_total - (i + k - 1)), head),
+                float(n_total - i) if clamped_s else d_s,
+            )
             continue
-        low = np.flatnonzero(d[:limit] < EPS_DEGREE)
+        low = np.flatnonzero(head[:limit] < EPS_DEGREE)
         if low.size:
             limit = int(low[0])
-            bad = (i, limit, float(d[limit]))
+            bad = (i, limit, float(head[limit]))
             if limit == 0:
                 break
-        yield d
+        elif d_s < EPS_DEGREE and i < limit:
+            limit = i
+            bad = (i, i, d_s)
+        if bad is None:
+            yield head, d_s
     if bad is not None:
         raise ModelDegenerateError(*bad)
 
@@ -219,8 +238,9 @@ def _profile_rows(spec: FullMesh | Poisson | ConfigModel, degenerate: str) -> np
     if steps == 0:
         return values
     if isinstance(spec, ConfigModel):
-        for i, column in enumerate(_config_columns(spec, degenerate)):
-            values[:, i] = column
+        for i, (head, tail) in enumerate(_config_columns(spec, degenerate), start=1):
+            values[:i, i - 1] = head
+            values[i:, i - 1] = tail
         return values
     degrees = _flat_degrees(spec)
     _check_flat_degrees(degrees, params)
@@ -242,7 +262,8 @@ def convergence_time(spec: TopologySpec, degenerate: str = "error") -> Convergen
     Full mesh and Poisson: with f(n) = (1/lam) / D(n), each
     E[T|x] = sum_{n<=x} f(n) + sum_{n>=x+k} f(n), one prefix and one
     suffix sum, O(N) time and memory.  Config model: the recurrence runs
-    once per step over all x, O(N) memory.  The outer P_sdn-weighted
+    once per step over the rows the cluster hit has reached, while the
+    rest share one running sum; O(N) memory.  The outer P_sdn-weighted
     accumulation uses compensated summation.  The D(i|x) matrix itself
     is built only if ``profile`` is read.
     """
@@ -260,9 +281,13 @@ def convergence_time(spec: TopologySpec, degenerate: str = "error") -> Convergen
         )
     inv_lam = 1.0 / params.lam
     if isinstance(spec, ConfigModel):
-        per_x = np.zeros(params.steps + 1)
-        for column in _config_columns(spec, degenerate):
-            per_x += inv_lam / column
+        per_x = np.empty(params.steps + 1)
+        tail_sum = 0.0  # E[T|x] so far, shared by the rows still in the block
+        for i, (head, tail) in enumerate(_config_columns(spec, degenerate), start=1):
+            per_x[i - 1] = tail_sum
+            per_x[:i] += inv_lam / head
+            tail_sum += inv_lam / tail
+        per_x[-1] = tail_sum
     else:
         # a sub-floor Poisson or full-mesh degree means the spec itself
         # cannot disseminate (e.g. p_edge = 0), whatever the mode

@@ -8,12 +8,15 @@ import-graph (edge-list files).
 Each option is declared once, with its type, choices, default and help
 (the shared ones in OPTIONS); a subcommand takes only the options its
 handler reads, so any other flag, and any abbreviated flag, is a usage
-error.  `bgpconv <command> --help` prints every default.
+error.  `bgpconv <command> --help` prints every default.  The parser
+tree is built once per process and reused by every call of main.
 
 Option precedence: explicit flags > --config file entries > built-in
 defaults.  Config files are flat `key = value` lines whose keys match
 the long flag names with dashes replaced by underscores; the entries
-become the subcommand's defaults, and argv is parsed again over them.
+become the subcommand's defaults on a tree built for that call alone,
+and argv is parsed again over them, so a file never changes the shared
+tree or a later call's defaults.
 
 Exit codes: 0 success, 2 domain or usage error, 3 unreachable
 topology, 4 I/O.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .analytic import convergence_time, core_convergence_time
@@ -124,20 +128,25 @@ OPTIONS = {
 }
 
 
-def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers of a tree built by build_parser, by name."""
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def _parse(argv) -> argparse.Namespace:
     """Parse argv, with the --config file's entries as the defaults.
 
     Each entry goes through its flag's own type and choices.  A key that
     names no subcommand's option (or names --config itself) is an error;
     one that only another subcommand defines is skipped, so one file can
-    serve several subcommands.
+    serve several subcommands.  The entries become defaults on a tree
+    built for this call alone, never on the shared one.
     """
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "config", None) is None:  # import-graph has no --config
         return args
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    sub = commands[args.command]
-    own = {a.dest: a for a in sub._actions}
+    commands = _commands(build_parser())
+    own = {a.dest: a for a in commands[args.command]._actions}
     known = {a.dest for s in commands.values() for a in s._actions}
     known -= {"help", "config"}
     entries = {}
@@ -156,7 +165,8 @@ def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             choices = ", ".join(action.choices)
             raise DomainError(f"config key {key!r}: {value!r} is not one of {choices}")
         entries[attr] = value
-    sub.set_defaults(**entries)
+    parser = build_parser.__wrapped__()
+    _commands(parser)[args.command].set_defaults(**entries)
     return parser.parse_args(argv)
 
 
@@ -304,7 +314,13 @@ def cmd_import_graph(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every call.
+
+    Callers must not change it; build_parser.__wrapped__() builds a
+    fresh tree that may be changed.
+    """
     parser = argparse.ArgumentParser(
         prog="bgpconv",
         description="Convergence-time laboratory for partially centralized "
@@ -353,9 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = _parse(parser, argv)
+        args = _parse(argv)
         return args.handler(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

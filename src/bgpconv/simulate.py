@@ -93,14 +93,6 @@ class DisseminationTrace:
     events: tuple[tuple[float, frozenset], ...]
     convergence_time: float
 
-    def informed_after(self, t: float) -> frozenset:
-        out: set[int] = set()
-        for when, nodes in self.events:
-            if when > t:
-                break
-            out |= nodes
-        return frozenset(out)
-
 
 def _check_announcer(graph: Graph, announcer: int) -> int:
     announcer = int(announcer)

@@ -10,11 +10,12 @@ full-mesh and Poisson rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from bgpconv.analytic import EPS_DEGREE, TAIL_FLOOR, degree_config_first
+from bgpconv.analytic import EPS_DEGREE, TAIL_FLOOR
 from bgpconv.errors import DomainError, ModelDegenerateError
 from bgpconv.model import ModelParams, informed_counts_row
 
@@ -72,6 +73,27 @@ def degree_poisson(ctx: StepContext, params: ModelParams, p_edge: float) -> floa
         raise DomainError(f"p_edge must be in [0, 1], got {p_edge}")
     n = informed_count(ctx, params)
     return (params.n_total - n) * (1.0 - (1.0 - p_edge) ** n)
+
+
+def degree_config_first(x: int, params: ModelParams, mu_d: float) -> float:
+    """Expected first-step bgp-degree on a config-model graph.
+
+    For x > 0 the announcer is a typical node, so its expected degree is
+    mu_d.  For x = 0 the whole k-cluster is informed at once and the
+    expected count of distinct outside neighbors is
+    (N - k) * mu_d * ln(N / (N - k)).
+    """
+    if not mu_d > 0:
+        raise DomainError(f"mu_d must be positive, got {mu_d}")
+    n, k = params.n_total, params.k_cluster
+    if k == n:
+        raise DomainError("no steps remain when the cluster spans the network")
+    steps = params.steps
+    if not 0 <= x <= steps:
+        raise DomainError(f"x must be in [0, {steps}], got {x}")
+    if x > 0:
+        return mu_d
+    return (n - k) * mu_d * math.log(n / (n - k))
 
 
 def _config_row_raw(

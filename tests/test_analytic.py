@@ -24,7 +24,6 @@ from bgpconv.analytic import (
     TAIL_FLOOR,
     convergence_time,
     core_convergence_time,
-    degree_config_first,
 )
 from bgpconv.errors import (
     DomainError,
@@ -36,6 +35,7 @@ from degree_reference import (
     StepContext,
     _config_row_raw,
     config_degree_row,
+    degree_config_first,
     degree_full_mesh,
     degree_poisson,
 )

@@ -478,6 +478,41 @@ def test_cli_seed_flag_beats_config_beats_default(tmp_path, capsys):
     assert stdout("--config", str(cfg), "--seed", "0") == default
 
 
+def test_cli_builds_one_parser_tree():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_config_file_does_not_carry_into_the_next_call(tmp_path, capsys):
+    argv = ("analytic", "--family", "full-mesh", "--n", "10")
+    assert run_cli(*argv) == 0
+    default = capsys.readouterr().out
+    cfg = tmp_path / "json.cfg"
+    cfg.write_text("k = 3\nformat = json\n")
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    from_file = capsys.readouterr().out
+    assert json.loads(from_file)["expected_time"] == pytest.approx(
+        bc.convergence_time(FullMesh(ModelParams(10, 3, 1.0))).expected_time, rel=1e-8
+    )
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == default
+    analytic = cli._commands(cli.build_parser())["analytic"]
+    assert (analytic.get_default("k"), analytic.get_default("format")) == (1, "text")
+
+
+@pytest.mark.parametrize("bad", ["warp_factor = 9\n", "format = xml\n", "k = many\n"],
+                         ids=["unknown-key", "bad-choice", "bad-type"])
+def test_cli_valid_call_succeeds_after_a_rejected_config(bad, tmp_path, capsys):
+    argv = ("analytic", "--family", "full-mesh", "--n", "10")
+    assert run_cli(*argv) == 0
+    default = capsys.readouterr().out
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k = 3\n" + bad)
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == default
+
+
 @pytest.mark.parametrize("command", sorted(CLI_BASE_ARGV) + ["import-graph"])
 def test_cli_help_prints_every_default(command, capsys):
     with pytest.raises(SystemExit) as exc:
