@@ -154,27 +154,23 @@ def _config_columns(
     preferentially reach high-degree nodes:
     mu_d(j) = mu_d * prod_{m=1}^{j-1} (1 - cv_d^2 / (N - n(m|x) - 1)).
 
-    Every row x >= max(i, 1) has taken only pre-hit steps, n(j|x) = j,
-    so the rows [i, N-k] share one state (D, mu_d, clamp flag), kept as
-    scalars.  The rows [0, i) the hit has reached form a growing prefix
-    whose steps all have n(j|x) = j + k - 1, so each step updates it
-    with one scalar denominator; row i-1 joins it at step i, carrying
-    the shared state.  That is about N^2/2 elementwise work in all, and
-    each entry takes the same operations in the same order as a row
-    evaluated alone.  Each step yields (head, tail): head[x] = D(i|x)
-    for x in [0, i), and tail = D(i|x) for every x in [i, N-k].
+    At step i the rows x >= max(i, 1) have taken only pre-hit steps, so
+    they share one state (D, mu_d, clamp flag), kept as scalars; the
+    rows [0, i) the hit has reached share one denominator per step.
+    Each entry takes the same operations in the same order as a row
+    evaluated alone, in about N^2/2 elementwise work.  Each step yields
+    (head, tail): D(i|x) for x in [0, i) as an array, and the one
+    D(i|x) of every x in [i, N-k].
 
     Clamp mode switches a row to the full-mesh degree N - n(i|x) from
     its first step below TAIL_FLOOR on.  Error mode raises
     ModelDegenerateError at the first sub-floor entry in row-major
-    (x, i) order; it yields only the steps before the first sub-floor
-    entry is seen, then runs on over the rows that could still hold an
-    earlier one.  A yielded head is valid until the next step is
-    requested.
+    (x, i) order; it stops yielding at the first sub-floor entry it
+    sees, and runs on over the rows that could still hold an earlier
+    one.  A yielded head is valid until the next step is requested.
     """
     if degenerate not in ("error", "clamp"):
         raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
-    clamp = degenerate == "clamp"
     params = spec.params
     n_total, k, steps = params.n_total, params.k_cluster, params.steps
     mu_d, cv2 = spec.mu_d, spec.cv_d * spec.cv_d
@@ -208,7 +204,7 @@ def _config_columns(
             # the hit reaches row i-1 at step i: it leaves the block
             d[i - 1], mu[i - 1], clamped[i - 1] = d_s, mu_s, clamped_s
         head = d[:i]
-        if clamp:
+        if degenerate == "clamp":
             clamped[:i] |= head < TAIL_FLOOR
             clamped_s = clamped_s or d_s < TAIL_FLOOR
             yield (

@@ -142,10 +142,11 @@ def _parse(argv) -> argparse.Namespace:
     serve several subcommands.  The entries become defaults on a tree
     built for this call alone, never on the shared one.
     """
-    args = build_parser().parse_args(argv)
+    shared = build_parser()
+    args = shared.parse_args(argv)
     if getattr(args, "config", None) is None:  # import-graph has no --config
         return args
-    commands = _commands(build_parser())
+    commands = _commands(shared)
     own = {a.dest: a for a in commands[args.command]._actions}
     known = {a.dest for s in commands.values() for a in s._actions}
     known -= {"help", "config"}
@@ -314,7 +315,7 @@ def cmd_import_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process and shared by every call.
 

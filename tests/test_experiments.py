@@ -519,7 +519,7 @@ def test_cli_help_prints_every_default(command, capsys):
         run_cli(command, "--help")
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    commands = cli._commands(cli.build_parser())
     defaults = [
         a.default for a in commands[command]._actions
         if a.default not in (None, argparse.SUPPRESS)
