@@ -42,7 +42,7 @@ import os
 import numpy as np
 
 from .errors import DomainError, UnreachableTopologyError
-from .graphs import Graph, forwarder_mask
+from .graphs import Graph, check_in_range, forwarder_mask
 
 try:
     import numba
@@ -196,6 +196,7 @@ def run_dissemination(
     draws it had not used followed by the next chunk of the same stream,
     so results never depend on the chunk size.
 
+    An announcer outside [0, N) is a DomainError under either policy.
     Nodes the announcement cannot reach raise under the "strict" policy;
     under "reachable-only" the run covers what it can and leaves those
     entries at -1.
@@ -212,7 +213,7 @@ def run_dissemination(
     if policy not in ("strict", "reachable-only"):
         raise DomainError(f"unknown policy {policy!r}; use strict or reachable-only")
 
-    announcer = int(announcer)
+    announcer = check_in_range(graph, announcer)
     inv_lam = float(inv_lam)
     forwards = forwarder_mask(graph, announcer)
     is_cluster = graph.cluster_mask

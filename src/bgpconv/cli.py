@@ -48,6 +48,9 @@ from .simulate import RunConfig, derive_seed, format_trace, simulate_batch, simu
 
 FLAT_FAMILIES = ("full-mesh", "poisson", "config-model")
 
+# emit writes text for one record only; sweep and core emit rows
+ROW_FORMATS = ("csv", "json")
+
 
 def _list_of(convert):
     """argparse type: a comma-separated list, each item passed to convert."""
@@ -121,7 +124,7 @@ OPTIONS = {
     "policy": dict(choices=tuple(RUN_POLICY), default="regenerate",
                    help="unreachable draws: redraw, or cover what is reachable "
                    "(default %(default)s)"),
-    "format": dict(choices=("csv", "json", "text"), default="text",
+    "format": dict(choices=ROW_FORMATS + ("text",), default="text",
                    help="output format (default %(default)s)"),
     "out": dict(help="write output to this path instead of stdout"),
     "config": dict(help="flat key = value option file"),
@@ -302,12 +305,11 @@ def cmd_export_graph(args: argparse.Namespace) -> int:
 
 def cmd_import_graph(args: argparse.Namespace) -> int:
     graph = import_graph(args.infile)
-    graph.validate()
     record = {
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "cluster_size": int(graph.cluster.size),
-        "tiered": "true" if graph.is_tiered else "false",
+        "tiered": graph.is_tiered,
     }
     _emit(record, args.format, None)
     if args.out is not None:
@@ -333,10 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, options, **defaults):
+    def command(name, handler, summary, options, choices=None, **defaults):
+        """choices narrows the choices of the named options on this subcommand."""
         sub = subs.add_parser(name, help=summary, allow_abbrev=False)
         for option in options.split():
-            sub.add_argument("--" + option.replace("_", "-"), **OPTIONS[option])
+            spec = OPTIONS[option]
+            if choices and option in choices:
+                spec = {**spec, "choices": choices[option]}
+            sub.add_argument("--" + option.replace("_", "-"), **spec)
         sub.set_defaults(handler=handler, **defaults)
         return sub
 
@@ -352,17 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
             f"family {flat} {tiered} announcer trace runs policy {common}")
     p = command("sweep", cmd_sweep, "penetration sweep, analytic vs simulated",
                 f"n lam p_edge d_min d_max exponent fractions runs policy {common}",
-                format="csv", k=1)
+                choices={"format": ROW_FORMATS}, format="csv", k=1)
     p.add_argument("--family", choices=FLAT_FAMILIES, help="topology family")
     command("core", cmd_core, "tiered case-study grid over (p22, k1)",
             f"n1 n2 p11 p12 lam p22_values k1_values runs policy {common}",
-            runs=5000, format="csv", k1=1, p22=0.0)
+            choices={"format": ROW_FORMATS}, runs=5000, format="csv", k1=1, p22=0.0)
     p = command("export-graph", cmd_export_graph, "generate a graph and write it",
                 f"family n k p_edge d_min d_max exponent {tiered} seed config",
                 lam=1.0)
     p.add_argument("--out", required=True, help="edge-list destination path")
     p = command("import-graph", cmd_import_graph,
-                "read, validate, and summarize a graph", "format")
+                "read, check, and summarize a graph", "format")
     p.add_argument("--in", dest="infile", required=True, help="edge-list source path")
     p.add_argument("--out", help="re-export the parsed graph to this path")
 

@@ -21,14 +21,8 @@ import numpy as np
 from ._kernels import run_dissemination
 from .analytic import convergence_time, core_convergence_time
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
-from .graphs import (
-    Graph,
-    draw_announcer,
-    ensure_reachable,
-    gen_graph,
-    gen_power_law_degrees,
-)
-from .model import ConfigModel, ModelParams, TieredCore, TopologySpec
+from .graphs import Graph, draw_attempt, ensure_reachable, gen_power_law_degrees
+from .model import ConfigModel, ModelParams, TieredCore, TopologySpec, degree_stats
 from .simulate import RunConfig, RunStats, derive_seed, simulate_batch
 
 _GRAPH_SALT = 1
@@ -49,8 +43,7 @@ def draw_point(spec: TopologySpec, seed: int, policy: str) -> tuple[Graph, int]:
 
     "regenerate" redraws until the announcer reaches every node
     (ensure_reachable); "reachable-only" keeps attempt 0 of that same
-    stream, reachable or not.  Either way the announcer is drawn from
-    the graph's Generator right after the graph.  Any other policy is a
+    stream (draw_attempt), reachable or not.  Any other policy is a
     DomainError.
     """
     if policy not in RUN_POLICY:
@@ -58,9 +51,7 @@ def draw_point(spec: TopologySpec, seed: int, policy: str) -> tuple[Graph, int]:
     if policy == "regenerate":
         draw = ensure_reachable(spec, seed)
         return draw.graph, draw.announcer
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
-    graph = gen_graph(spec, rng)
-    return graph, draw_announcer(rng, graph)
+    return draw_attempt(spec, seed, 0)
 
 
 def fraction_to_k(n_total: int, fraction: float) -> int:
@@ -163,7 +154,7 @@ def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
                 point, derive_seed(spec.master_seed, i, _GRAPH_SALT), spec.policy
             )
             if isinstance(point, ConfigModel):
-                mu_d, cv_d = graph.degree_stats()
+                mu_d, cv_d = degree_stats(graph.degrees)
                 estimate = convergence_time(
                     ConfigModel(point.params, mu_d=mu_d, cv_d=cv_d),
                     degenerate="clamp",

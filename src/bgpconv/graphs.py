@@ -25,7 +25,6 @@ from .model import (
     Poisson,
     TieredCore,
     TopologySpec,
-    degree_stats,
 )
 
 log = logging.getLogger(__name__)
@@ -101,40 +100,6 @@ class Graph:
         nbrs.flags.writeable = False
         return nbrs
 
-    def degree_stats(self) -> tuple[float, float]:
-        """Realized (mean degree, coefficient of variation)."""
-        return degree_stats(self.degrees)
-
-    def validate(self) -> None:
-        """Structural invariants: CSR shape, symmetry, simplicity, cluster."""
-        n = self.node_count
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0:
-            raise AssertionError("malformed indptr")
-        if self.indptr[-1] != self.indices.size:
-            raise AssertionError("indptr does not span indices")
-        seen = set()
-        for u in range(n):
-            nbrs = self.neighbors(u)
-            if nbrs.size:
-                if np.any(np.diff(nbrs) <= 0):
-                    raise AssertionError(f"neighbors of {u} not strictly ascending")
-                if np.any(nbrs == u):
-                    raise AssertionError(f"self loop at {u}")
-            for v in nbrs:
-                seen.add((u, int(v)))
-        for u, v in seen:
-            if (v, u) not in seen:
-                raise AssertionError(f"asymmetric edge {u}-{v}")
-        if self.cluster.size and (
-            self.cluster.min() < 0 or self.cluster.max() >= n
-        ):
-            raise AssertionError("cluster node out of range")
-        if self.is_tiered:
-            if self.kinds.shape != self.indices.shape:
-                raise AssertionError("kinds misaligned with indices")
-            if np.any(self.roles[self.cluster] != ROLE_TIER1):
-                raise AssertionError("tiered cluster must lie in tier-1")
-
 
 def from_edges(
     node_count: int,
@@ -146,8 +111,10 @@ def from_edges(
 ) -> Graph:
     """Build a Graph from undirected edge endpoint arrays.
 
-    Rejects self loops, duplicate edges, and cluster nodes that are out
-    of range, repeated, or (on tiered graphs) outside tier-1, rather
+    The one check of the graph invariants: every Graph the package
+    builds comes from here.  Rejects self loops, duplicate edges,
+    out-of-range endpoints, misaligned kinds, and cluster nodes that are
+    out of range, repeated, or (on tiered graphs) outside tier-1, rather
     than repairing them; generators are responsible for producing simple
     edge sets.
     """
@@ -313,7 +280,7 @@ def gen_config_model(
 
     Erasure lowers realized degrees below the prescribed sequence, so
     callers comparing against closed forms should read the realized
-    stats back from the returned graph (Graph.degree_stats).
+    stats back from the returned graph (model.degree_stats(graph.degrees)).
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n = params.n_total
@@ -437,6 +404,14 @@ def neighborhood(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     return graph.indices[np.arange(shift.size) - shift]
 
 
+def check_in_range(graph: Graph, announcer: int) -> int:
+    """The announcer as an int node id; DomainError unless 0 <= it < N."""
+    announcer = int(announcer)
+    if not 0 <= announcer < graph.node_count:
+        raise DomainError(f"announcer {announcer} out of range")
+    return announcer
+
+
 def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
     """Nodes reachable from the announcer along eligible paths.
 
@@ -445,8 +420,7 @@ def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
     reachable when some forwarder neighbors it (one final hop).  Runs a
     level-synchronous breadth-first search over the CSR arrays.
     """
-    if not 0 <= announcer < graph.node_count:
-        raise DomainError(f"announcer {announcer} out of range")
+    announcer = check_in_range(graph, announcer)
     forwards = forwarder_mask(graph, announcer)
     cluster_mask = graph.cluster_mask
     seen = np.zeros(graph.node_count, dtype=np.bool_)
@@ -487,13 +461,21 @@ def draw_announcer(rng: np.random.Generator, graph: Graph) -> int:
     return int(rng.integers(0, graph.node_count))
 
 
+def draw_attempt(spec: TopologySpec, seed: int, attempt: int) -> tuple[Graph, int]:
+    """Attempt `attempt` of the draw stream of seed: the graph, then a
+    uniform announcer (draw_announcer), from one Generator seeded by
+    (seed, attempt)."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), attempt)))
+    graph = gen_graph(spec, rng)
+    return graph, draw_announcer(rng, graph)
+
+
 def ensure_reachable(
     spec: TopologySpec, seed: int, max_retries: int = 100
 ) -> ReachableDraw:
     """Draw (graph, announcer) pairs until every node is reachable.
 
-    Each attempt draws the graph, then a uniform announcer (draw_announcer),
-    from one Generator seeded by (seed, attempt), so the result is
+    Tries attempts 0, 1, ... of draw_attempt, so the result is
     deterministic given the arguments.  Raises
     UnreachableTopologyError after max_retries failures.  The failure
     count is returned (and logged) so callers can record the rejection
@@ -503,9 +485,7 @@ def ensure_reachable(
     last_reached = 0
     node_count = 0
     for attempt in range(max_retries):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), attempt)))
-        graph = gen_graph(spec, rng)
-        chosen = draw_announcer(rng, graph)
+        graph, chosen = draw_attempt(spec, seed, attempt)
         reached = reachable_set(graph, chosen)
         if reached.all():
             if failures:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import run_dissemination
 from .errors import DomainError, UnreachableTopologyError
-from .graphs import ROLE_TIER2, Graph, draw_announcer
+from .graphs import ROLE_TIER2, Graph, check_in_range, draw_announcer
 
 Announcer = Union[int, str]
 
@@ -95,9 +95,7 @@ class DisseminationTrace:
 
 
 def _check_announcer(graph: Graph, announcer: int) -> int:
-    announcer = int(announcer)
-    if not 0 <= announcer < graph.node_count:
-        raise DomainError(f"announcer {announcer} out of range")
+    announcer = check_in_range(graph, announcer)
     if graph.is_tiered and graph.roles[announcer] != ROLE_TIER2:
         raise DomainError("tiered announcements must originate at a tier-2 node")
     return announcer

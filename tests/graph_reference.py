@@ -1,12 +1,15 @@
-"""Row-wise Poisson generation, tiered generation over np.triu_indices
-and depth-first reachability, the reference for the tests.
+"""Row-wise Poisson generation, tiered generation over np.triu_indices,
+depth-first reachability and a per-node structure check, the reference
+for the tests.
 
 The package draws Poisson pair uniforms in blocks of whole rows, maps
 pair hits back to endpoints through row start offsets, and finds
 reachable nodes by a level-synchronous breadth-first search over the CSR
 arrays.  The functions here do the same work one row, one index table
 and one node at a time, so the equivalence tests compare two
-implementations: graphs bit for bit, reachable sets exactly.
+implementations: graphs bit for bit, reachable sets exactly.  The
+package checks a graph's invariants once, vectorized, in from_edges;
+check_graph re-checks them on the built CSR arrays one node at a time.
 """
 
 from __future__ import annotations
@@ -111,3 +114,34 @@ def reachable_set_dfs(graph: Graph, announcer: int) -> np.ndarray:
                 seen[nbr] = True
                 stack.append(nbr)
     return seen
+
+
+def check_graph(graph: Graph) -> None:
+    """Structural invariants: CSR shape, symmetry, simplicity, cluster."""
+    n = graph.node_count
+    if graph.indptr.shape != (n + 1,) or graph.indptr[0] != 0:
+        raise AssertionError("malformed indptr")
+    if graph.indptr[-1] != graph.indices.size:
+        raise AssertionError("indptr does not span indices")
+    seen = set()
+    for u in range(n):
+        nbrs = graph.neighbors(u)
+        if nbrs.size:
+            if np.any(np.diff(nbrs) <= 0):
+                raise AssertionError(f"neighbors of {u} not strictly ascending")
+            if np.any(nbrs == u):
+                raise AssertionError(f"self loop at {u}")
+        for v in nbrs:
+            seen.add((u, int(v)))
+    for u, v in seen:
+        if (v, u) not in seen:
+            raise AssertionError(f"asymmetric edge {u}-{v}")
+    if graph.cluster.size and (
+        graph.cluster.min() < 0 or graph.cluster.max() >= n
+    ):
+        raise AssertionError("cluster node out of range")
+    if graph.is_tiered:
+        if graph.kinds.shape != graph.indices.shape:
+            raise AssertionError("kinds misaligned with indices")
+        if np.any(graph.roles[graph.cluster] != ROLE_TIER1):
+            raise AssertionError("tiered cluster must lie in tier-1")

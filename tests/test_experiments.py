@@ -438,6 +438,26 @@ def test_cli_rejects_a_flag_its_subcommand_does_not_read(command, flag, tmp_path
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,runner", [("sweep", "run_sweep"),
+                                            ("core", "run_case_study")])
+def test_cli_row_commands_reject_text_before_any_run(command, runner, monkeypatch,
+                                                     tmp_path, capsys):
+    # emit writes text for one record only, so sweep and core offer csv
+    # and json, and a text request fails before the grid runs
+    def never(*args, **kwargs):
+        raise AssertionError(f"{runner} ran")
+
+    monkeypatch.setattr(cli, runner, never)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*CLI_BASE_ARGV[command], "--format", "text")
+    assert exc.value.code == 2
+    assert "invalid choice: 'text'" in capsys.readouterr().err
+    cfg = tmp_path / "text.cfg"
+    cfg.write_text("format = text\n")
+    assert run_cli(*CLI_BASE_ARGV[command], "--config", str(cfg)) == 2
+    assert "'text' is not one of csv, json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("analytic", "--fam", "full-mesh", "--n", "4"),
     ("analytic", "--family", "full-mesh", "--n", "4", "--deg", "clamp"),
@@ -564,6 +584,15 @@ def test_reachable_only_keeps_attempt_zero_of_the_regenerate_stream():
     assert not bc.reachable_set(graph, origin).all()
 
 
+def test_reachable_only_draw_runs_no_reachability_search(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("reachable_set ran")
+
+    monkeypatch.setattr("bgpconv.graphs.reachable_set", never)
+    graph, origin = draw_point(Poisson(ModelParams(30, 1, 1.0), 0.02), 3, "reachable-only")
+    assert graph.node_count == 30 and 0 <= origin < 30
+
+
 def test_draw_point_rejects_an_unknown_policy():
     with pytest.raises(DomainError, match="bogus"):
         draw_point(Poisson(ModelParams(30, 1, 1.0), 0.02), 3, "bogus")
@@ -632,7 +661,7 @@ SINGLE_RECORD_BYTES = {
     ("import-graph", "csv"): "nodes,edges,cluster_size,tiered\n10,13,2,true\n",
     ("import-graph", "json"): (
         '{\n  "nodes": 10,\n  "edges": 13,\n  "cluster_size": 2,\n'
-        '  "tiered": "true"\n}\n'
+        '  "tiered": true\n}\n'
     ),
     ("simulate-poisson-reachable-only", "text"): (
         "runs = 20\nmean = 5.88157201\nstd_dev = 1.45092643\n"

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bgpconv.graphs as gg
 from bgpconv.errors import DomainError, UnreachableTopologyError
@@ -32,8 +34,13 @@ from bgpconv.graphs import (
     neighborhood,
     reachable_set,
 )
-from bgpconv.model import ConfigModel, ModelParams, Poisson, TieredCore
-from graph_reference import gen_poisson_rowwise, gen_tiered_core_triu, reachable_set_dfs
+from bgpconv.model import ConfigModel, ModelParams, Poisson, TieredCore, degree_stats
+from graph_reference import (
+    check_graph,
+    gen_poisson_rowwise,
+    gen_tiered_core_triu,
+    reachable_set_dfs,
+)
 
 
 # ---------------------------------------------------------------- full mesh
@@ -50,7 +57,7 @@ def test_full_mesh_is_deterministic_and_valid():
     np.testing.assert_array_equal(a.indptr, b.indptr)
     np.testing.assert_array_equal(a.indices, b.indices)
     np.testing.assert_array_equal(a.cluster, b.cluster)
-    a.validate()
+    check_graph(a)
     assert a.cluster.shape == (5,)
     assert not a.is_tiered
 
@@ -64,7 +71,7 @@ def test_poisson_extremes():
     np.testing.assert_array_equal(dense.indptr, mesh.indptr)
     np.testing.assert_array_equal(dense.indices, mesh.indices)
     assert gen_poisson(params, 0.0, 7).edge_count == 0
-    dense.validate()
+    check_graph(dense)
 
 
 def test_poisson_mean_degree_band():
@@ -199,7 +206,7 @@ def test_config_erasure_collapses_heavy_hubs():
     realized_mu = 2 * g.edge_count / 300
     assert realized_mu < deg.mean()
     assert (deg.mean() - realized_mu) / deg.mean() <= 0.25
-    mu_d, _ = g.degree_stats()
+    mu_d, _ = degree_stats(g.degrees)
     assert mu_d == pytest.approx(realized_mu)
     assert g.degrees.max() <= 200
 
@@ -233,7 +240,7 @@ TIERED = TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0)
 
 def test_tiered_roles_kinds_and_cluster():
     g = gen_tiered_core(TIERED, 3)
-    g.validate()
+    check_graph(g)
     assert g.is_tiered
     assert (g.roles[:20] == ROLE_TIER1).all()
     assert (g.roles[20:] == ROLE_TIER2).all()
@@ -271,7 +278,7 @@ def test_tiered_saturated_probabilities():
     g = gen_tiered_core(spec, 0)
     # complete within tiers and across: 10 + 40 + 28 edges
     assert g.edge_count == 10 + 40 + 28
-    g.validate()
+    check_graph(g)
 
 
 @pytest.mark.parametrize("p22", [0.0, 0.2, 1.0])
@@ -463,6 +470,102 @@ def test_from_edges_rejects_bad_input():
             from_edges(3, np.array(u), np.array(v), cluster=np.array([0]))
     with pytest.raises(DomainError):
         from_edges(3, np.array([0]), np.array([5]), cluster=np.array([0]))
+
+
+@st.composite
+def edge_sets(draw, tiered=None):
+    """from_edges arguments for a random simple graph, flat or tiered.
+
+    Tiered graphs put tier-1 first, label each edge by its endpoints'
+    tiers and draw the cluster from tier-1; edges come in random order
+    and orientation.
+    """
+    if tiered is None:
+        tiered = draw(st.booleans())
+    n = draw(st.integers(2, 24))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=60,
+                          unique_by=lambda e: frozenset(e)))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    kinds = roles = None
+    pool = range(n)
+    if tiered:
+        n1 = draw(st.integers(1, n - 1))
+        roles = np.where(np.arange(n) < n1, ROLE_TIER1, ROLE_TIER2).astype(np.uint8)
+        kinds = np.select(
+            [(u < n1) & (v < n1), (u >= n1) & (v >= n1)],
+            [KIND_PEER11, KIND_PEER22], KIND_TRANSIT12,
+        ).astype(np.uint8)
+        pool = range(n1)
+    cluster = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    return dict(node_count=n, u=u, v=v, kinds=kinds, roles=roles, cluster=cluster)
+
+
+@given(edge_sets())
+@settings(max_examples=200, deadline=None)
+def test_from_edges_output_passes_the_reference_check(case):
+    graph = from_edges(**case)
+    check_graph(graph)
+    assert graph.is_tiered == (case["kinds"] is not None)
+    src = np.repeat(np.arange(graph.node_count), graph.degrees)
+    built = {(int(a), int(b)) for a, b in zip(src, graph.indices) if a < b}
+    assert built == {(min(a, b), max(a, b)) for a, b in zip(case["u"], case["v"])}
+    assert graph.cluster.tolist() == sorted(case["cluster"])
+
+
+def _add_edge(case, a, b):
+    case["u"] = np.append(case["u"], a)
+    case["v"] = np.append(case["v"], b)
+    if case["kinds"] is not None:
+        case["kinds"] = np.append(case["kinds"], KIND_PEER11)
+
+
+# each defect, and the message from_edges rejects it with
+DEFECTS = {
+    "self-loop": "self loops",
+    "duplicate-edge": "duplicate edges",
+    "endpoint-out-of-range": "edge endpoint out of range",
+    "cluster-node-out-of-range": "cluster node out of range",
+    "repeated-cluster-node": "repeated cluster node",
+    "tiered-cluster-outside-tier-1": "must lie in tier-1",
+    "misaligned-kinds": "misaligned",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_from_edges_rejects_each_malformed_edge_set(defect, data):
+    tiered = True if defect in ("tiered-cluster-outside-tier-1", "misaligned-kinds") else None
+    case = data.draw(edge_sets(tiered=tiered))
+    n = case["node_count"]
+    outside = st.one_of(st.integers(-3, -1), st.integers(n, n + 3))
+    if defect == "self-loop":
+        w = data.draw(st.integers(0, n - 1))
+        _add_edge(case, w, w)
+    elif defect == "duplicate-edge":
+        assume(case["u"].size)
+        i = data.draw(st.integers(0, case["u"].size - 1))
+        a, b = int(case["u"][i]), int(case["v"][i])
+        _add_edge(case, *data.draw(st.sampled_from([(a, b), (b, a)])))
+    elif defect == "endpoint-out-of-range":
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(outside)
+        _add_edge(case, *data.draw(st.sampled_from([(a, b), (b, a)])))
+    elif defect == "cluster-node-out-of-range":
+        case["cluster"] = case["cluster"] + [data.draw(outside)]
+    elif defect == "repeated-cluster-node":
+        assume(case["cluster"])
+        case["cluster"] = case["cluster"] + [data.draw(st.sampled_from(case["cluster"]))]
+    elif defect == "tiered-cluster-outside-tier-1":
+        tier2 = np.flatnonzero(case["roles"] == ROLE_TIER2).tolist()
+        case["cluster"] = case["cluster"] + [data.draw(st.sampled_from(tier2))]
+    else:
+        kinds = case["kinds"]
+        longer = data.draw(st.booleans()) or not kinds.size
+        case["kinds"] = np.append(kinds, KIND_PEER11) if longer else kinds[:-1]
+    with pytest.raises(DomainError, match=DEFECTS[defect]):
+        from_edges(**case)
 
 
 def test_gen_graph_dispatch():

@@ -12,11 +12,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bgpconv import cli
+import bgpconv
+from bgpconv import cli, graphs
 from bgpconv.analytic import convergence_time
-from bgpconv.model import ConfigModel, FullMesh, ModelParams, Poisson
+from bgpconv.model import ConfigModel, FullMesh, ModelParams, Poisson, TieredCore
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,3 +74,14 @@ def test_every_workload_argv_parses(workloads, seed):
             # the harness appends --out to every invocation
             args = parser.parse_args(list(invocation.argv) + ["--out", "result"])
             assert callable(args.handler), (name, invocation.argv)
+
+
+def test_bit_identity_call_runs_on_the_numpy_kernel():
+    # perfbench/run.py::bit_identity makes this call, with "numba" and
+    # "numpy", only when numba imports; the numpy half runs everywhere
+    graph = graphs.gen_tiered_core(TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0), 1)
+    times, used = bgpconv.run_dissemination(graph, 25, 1.0, 0, "numpy",
+                                            "reachable-only")
+    assert times.shape == (graph.node_count,) and times.dtype == np.float64
+    assert times[25] == 0.0
+    assert isinstance(used, int) and used > 0

@@ -268,6 +268,19 @@ def test_announcer_policy_validation():
     assert (np.asarray(res.announcers) == 2).all()
 
 
+@pytest.mark.parametrize("policy", ["strict", "reachable-only"])
+@pytest.mark.parametrize("announcer", [-1, 6])
+def test_announcer_out_of_range_is_a_domain_error(announcer, policy):
+    # one range check for the kernel, the reachability search and RunConfig
+    g = gg.gen_full_mesh(ModelParams(6, 1, 1.0), 0)
+    with pytest.raises(DomainError, match=f"announcer {announcer} out of range"):
+        run_dissemination(g, announcer, 1.0, 0, "numpy", policy)
+    with pytest.raises(DomainError, match="out of range"):
+        gg.reachable_set(g, announcer)
+    with pytest.raises(DomainError, match="out of range"):
+        RunConfig(graph=g, announcer=announcer, policy=policy)
+
+
 # --------------------------------------------------------------- backends
 
 def star_graph(n):
