@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import bgpconv as bc
 from bgpconv.analytic import (
@@ -205,6 +207,11 @@ CONFIG_PINS = [
      "b784cd2dcdac2926d2dcf96395b6652b4f1b47e9c7dc6e4f7f96287ef0b11f2d"),
     ((120, 10, 3.0, 4.0, 0.5, "clamp"), 2.3209606803381653,
      "8defddf9be5eca57b251fe82b91adfe91fd9c28411b37cbfb8286fa5ead7072f"),
+    # rows first fall below TAIL_FLOOR at six different steps (54-58 and
+    # 72 of 110), so rows that have not dipped yet must keep their raw
+    # values while others are already clamped
+    ((120, 10, 3.0, 4.0, 2.5, "clamp"), 3.2412252025062025,
+     "4beb396d0a42684da835dd7a29236291a12be24707d8e1ca244e55b5ad5c0edb"),
 ]
 
 # (N, k, lam, mu_d, cv_d) in error mode -> (step, sdn_hit_step, value)
@@ -232,6 +239,40 @@ def test_config_model_degenerate_entry_is_pinned(spec, where):
         convergence_time(ConfigModel(ModelParams(n, k, lam), mu_d=mu_d, cv_d=cv_d), "error")
     got = (exc.value.step, exc.value.sdn_hit_step, exc.value.value)
     assert repr(got) == repr(where)
+
+
+@st.composite
+def small_config_specs(draw):
+    n = draw(st.integers(min_value=2, max_value=80))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    lam, mu_d = (draw(st.floats(min_value=0.5, max_value=60.0)) for _ in range(2))
+    cv_d = draw(st.floats(min_value=0.0, max_value=6.0))
+    return ConfigModel(ModelParams(n, k, lam), mu_d=mu_d, cv_d=cv_d)
+
+
+@seed(20160528)
+@given(small_config_specs(), st.sampled_from(["error", "clamp"]))
+@settings(max_examples=80, deadline=None)
+def test_config_model_matches_the_row_reference_bit_for_bit(spec, mode):
+    # each E[T|x] is the left-to-right sum of (1/lam)/D over the
+    # reference row x, and error mode fails at the reference's first
+    # sub-floor entry in row-major (x, i) order, with the same value
+    inv_lam = 1.0 / spec.params.lam
+    try:
+        rows = reference_matrix(spec, mode)
+    except ModelDegenerateError as ref:
+        with pytest.raises(ModelDegenerateError) as exc:
+            convergence_time(spec, mode)
+        got = (exc.value.step, exc.value.sdn_hit_step, exc.value.value)
+        assert repr(got) == repr((ref.step, ref.sdn_hit_step, ref.value))
+        return
+    want = []
+    for row in rows.tolist():
+        total = 0.0
+        for degree in row:
+            total += inv_lam / degree
+        want.append(total)
+    assert convergence_time(spec, mode).per_x_expectation.tolist() == want
 
 
 # ---------------------------------------------------------------- degrees
