@@ -17,11 +17,12 @@ true mean for the exact model).
 Each family has one degree computation, vectorized over x.  Full mesh
 and Poisson: _flat_degrees gives D as a function of the informed count
 n alone, and D(i|x) = D(n(i|x)).  Config model: _config_columns runs
-the degree recurrence one step i at a time; the rows x >= i share one
-state and are carried as one scalar, so a step updates only the rows
-[0, i) and the evaluation costs about N^2/2 elementwise work.  Both
-convergence_time and the D(i|x) matrix behind
-ConvergenceEstimate.profile read these two.
+the degree recurrence one step i at a time in one loop, updating the
+rows [0, i) in place and carrying the rows x >= i, which share one
+state, as scalars; it returns E[T|x] in about N^2/2 elementwise work
+and, when asked, fills the D(i|x) matrix in the same pass.  Both
+convergence_time and the matrix behind ConvergenceEstimate.profile
+read these two.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
-
 import numpy as np
 
 from .errors import DomainError, ModelDegenerateError, UnreachableTopologyError
@@ -144,9 +143,9 @@ def _check_flat_degrees(degrees: np.ndarray, params: ModelParams) -> None:
 
 
 def _config_columns(
-    spec: ConfigModel, degenerate: str
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Config-model degrees D(i|.) over every x in [0, N-k], one step i at a time.
+    spec: ConfigModel, degenerate: str, values: np.ndarray | None = None
+) -> np.ndarray:
+    """Config-model E[T|x] over every x in [0, N-k], one step i at a time.
 
     Runs the recurrence D(i) = A(i-1) * D(i-1) + (mu_d(i-1) - 1), with
     A(j) = 1 - mu_d(j) / (N - n(j|x) - 1).  The mean residual degree
@@ -155,35 +154,41 @@ def _config_columns(
     mu_d(j) = mu_d * prod_{m=1}^{j-1} (1 - cv_d^2 / (N - n(m|x) - 1)).
 
     At step i the rows x >= max(i, 1) have taken only pre-hit steps, so
-    they share one state (D, mu_d, clamp flag), kept as scalars; the
-    rows [0, i) the hit has reached share one denominator per step.
+    they share one state (D, mu_d, clamp flag, running sum), kept as
+    scalars; the rows [0, i) the hit has reached share one denominator
+    per step and are updated in place, in about N^2/2 elementwise work.
     Each entry takes the same operations in the same order as a row
-    evaluated alone, in about N^2/2 elementwise work.  Each step yields
-    (head, tail): D(i|x) for x in [0, i) as an array, and the one
-    D(i|x) of every x in [i, N-k].
+    evaluated alone, and E[T|x] adds its (1/lam) / D(i|x) left to right.
+    If ``values`` is given, D(i|x) also goes to its column i - 1.
 
     Clamp mode switches a row to the full-mesh degree N - n(i|x) from
     its first step below TAIL_FLOOR on.  Error mode raises
     ModelDegenerateError at the first sub-floor entry in row-major
-    (x, i) order; it stops yielding at the first sub-floor entry it
-    sees, and runs on over the rows that could still hold an earlier
-    one.  A yielded head is valid until the next step is requested.
+    (x, i) order; once it has seen one, it runs on only over the rows
+    that could still hold an earlier one.  Until some entry falls below
+    its floor, both modes check a step with one NaN-ignoring minimum
+    (NaN is never below a floor) and skip the per-row logic.
     """
-    if degenerate not in ("error", "clamp"):
-        raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
     params = spec.params
     n_total, k, steps = params.n_total, params.k_cluster, params.steps
+    inv_lam = 1.0 / params.lam
     mu_d, cv2 = spec.mu_d, spec.cv_d * spec.cv_d
+    clamp = degenerate == "clamp"
+    floor = TAIL_FLOOR if clamp else EPS_DEGREE
+    divide, subtract, multiply, add = np.divide, np.subtract, np.multiply, np.add
+    fmin_reduce = np.fmin.reduce
     # the rows the hit has reached; row 0 starts there, its first degree
     # the expected count of distinct outside neighbors of the cluster
     d = np.empty(steps, dtype=np.float64)
     mu = np.empty(steps, dtype=np.float64)
     clamped = np.zeros(steps, dtype=bool)
     scratch = np.empty(steps, dtype=np.float64)
+    per_x = np.empty(steps + 1, dtype=np.float64)
     d[0] = (n_total - k) * mu_d * math.log(n_total / (n_total - k))
     mu[0] = mu_d
     # the block of rows [i, N-k], which share one state
-    d_s, mu_s, clamped_s = mu_d, mu_d, False
+    d_s, mu_s, clamped_s, tail_sum = mu_d, mu_d, False, 0.0
+    exact = False  # per-row checks, from the first step with an entry below its floor
     bad: tuple[int, int, float] | None = None
     limit = steps + 1  # rows that can still hold the first sub-floor entry
     for i in range(1, steps + 1):
@@ -192,39 +197,52 @@ def _config_columns(
             # [0, i-1) the hit has reached, n = i - 1 in the block
             denom = n_total - i - k + 1
             d_h, mu_h, t = d[: i - 1], mu[: i - 1], scratch[: i - 1]
-            np.divide(mu_h, denom, out=t)
-            np.subtract(1.0, t, out=t)
-            d_h *= t
-            np.subtract(mu_h, 1.0, out=t)
-            d_h += t
-            mu_h *= 1.0 - cv2 / denom
+            divide(mu_h, denom, out=t)
+            subtract(1.0, t, out=t)
+            multiply(d_h, t, out=d_h)
+            subtract(mu_h, 1.0, out=t)
+            add(d_h, t, out=d_h)
+            multiply(mu_h, 1.0 - cv2 / denom, out=mu_h)
             denom = n_total - i
             d_s = (1.0 - mu_s / denom) * d_s + (mu_s - 1.0)
             mu_s *= 1.0 - cv2 / denom
             # the hit reaches row i-1 at step i: it leaves the block
             d[i - 1], mu[i - 1], clamped[i - 1] = d_s, mu_s, clamped_s
         head = d[:i]
-        if degenerate == "clamp":
-            clamped[:i] |= head < TAIL_FLOOR
+        if not exact:
+            # a clamped block hands clamped rows to the head from the next step
+            exact = clamped_s or fmin_reduce(head) < floor
+        if clamp:
+            if exact:
+                clamped[:i] |= head < TAIL_FLOOR
+                head = np.where(clamped[:i], float(n_total - (i + k - 1)), head)
             clamped_s = clamped_s or d_s < TAIL_FLOOR
-            yield (
-                np.where(clamped[:i], float(n_total - (i + k - 1)), head),
-                float(n_total - i) if clamped_s else d_s,
-            )
-            continue
-        low = np.flatnonzero(head[:limit] < EPS_DEGREE)
-        if low.size:
-            limit = int(low[0])
-            bad = (i, limit, float(head[limit]))
-            if limit == 0:
-                break
-        elif d_s < EPS_DEGREE and i < limit:
-            limit = i
-            bad = (i, i, d_s)
-        if bad is None:
-            yield head, d_s
+            tail = float(n_total - i) if clamped_s else d_s
+        else:
+            low = np.flatnonzero(head[:limit] < EPS_DEGREE) if exact else None
+            if low is not None and low.size:
+                limit = int(low[0])
+                bad = (i, limit, float(head[limit]))
+                if limit == 0:
+                    break
+            elif d_s < EPS_DEGREE and i < limit:
+                limit = i
+                bad = (i, i, d_s)
+            if bad is not None:
+                continue
+            tail = d_s
+        per_x[i - 1] = tail_sum
+        f = scratch[:i]
+        divide(inv_lam, head, out=f)
+        add(per_x[:i], f, out=per_x[:i])
+        tail_sum += inv_lam / tail
+        if values is not None:
+            values[:i, i - 1] = head
+            values[i:, i - 1] = tail
     if bad is not None:
         raise ModelDegenerateError(*bad)
+    per_x[-1] = tail_sum
+    return per_x
 
 
 def _profile_rows(spec: FullMesh | Poisson | ConfigModel, degenerate: str) -> np.ndarray:
@@ -234,9 +252,7 @@ def _profile_rows(spec: FullMesh | Poisson | ConfigModel, degenerate: str) -> np
     if steps == 0:
         return values
     if isinstance(spec, ConfigModel):
-        for i, (head, tail) in enumerate(_config_columns(spec, degenerate), start=1):
-            values[:i, i - 1] = head
-            values[i:, i - 1] = tail
+        _config_columns(spec, degenerate, values)
         return values
     degrees = _flat_degrees(spec)
     _check_flat_degrees(degrees, params)
@@ -263,6 +279,8 @@ def convergence_time(spec: TopologySpec, degenerate: str = "error") -> Convergen
     accumulation uses compensated summation.  The D(i|x) matrix itself
     is built only if ``profile`` is read.
     """
+    if degenerate not in ("error", "clamp"):
+        raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
     if isinstance(spec, TieredCore):
         raise DomainError("tiered-core is evaluated by core_convergence_time")
     params = spec.params
@@ -275,21 +293,14 @@ def convergence_time(spec: TopologySpec, degenerate: str = "error") -> Convergen
             model=spec,
             degenerate=degenerate,
         )
-    inv_lam = 1.0 / params.lam
     if isinstance(spec, ConfigModel):
-        per_x = np.empty(params.steps + 1)
-        tail_sum = 0.0  # E[T|x] so far, shared by the rows still in the block
-        for i, (head, tail) in enumerate(_config_columns(spec, degenerate), start=1):
-            per_x[i - 1] = tail_sum
-            per_x[:i] += inv_lam / head
-            tail_sum += inv_lam / tail
-        per_x[-1] = tail_sum
+        per_x = _config_columns(spec, degenerate)
     else:
         # a sub-floor Poisson or full-mesh degree means the spec itself
         # cannot disseminate (e.g. p_edge = 0), whatever the mode
         degrees = _flat_degrees(spec)
         _check_flat_degrees(degrees, params)
-        f = inv_lam / degrees
+        f = (1.0 / params.lam) / degrees
         prefix = np.concatenate(([0.0], np.cumsum(f)))  # sum over n <= x
         suffix = np.concatenate((np.cumsum(f[::-1])[::-1], [0.0]))  # over n >= m, at m - 1
         per_x = prefix[: params.steps + 1] + suffix[params.k_cluster - 1 :]

@@ -453,6 +453,21 @@ def test_poisson_disconnected_raises_in_both_modes():
         assert (exc.value.step, exc.value.sdn_hit_step, exc.value.value) == (1, 0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FullMesh(ModelParams(10, 2, 1.0)),
+        Poisson(ModelParams(10, 2, 1.0), 0.4),
+        ConfigModel(ModelParams(10, 10, 1.0), mu_d=4.0, cv_d=0.5),
+        ConfigModel(ModelParams(10, 2, 1.0), mu_d=4.0, cv_d=0.5),
+        FullMesh(ModelParams(10, 10, 1.0)),
+    ],
+)
+def test_unknown_degenerate_mode_is_rejected_for_every_family(spec):
+    with pytest.raises(DomainError, match="degenerate must be 'error' or 'clamp'"):
+        convergence_time(spec, degenerate="bogus")
+
+
 # ------------------------------------------------------------- structure
 
 def test_estimate_decomposition_recombines():
