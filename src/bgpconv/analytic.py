@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
 import numpy as np
 
 from .errors import DomainError, ModelDegenerateError, UnreachableTopologyError
@@ -219,8 +220,7 @@ def _config_columns(
             clamped_s = clamped_s or d_s < TAIL_FLOOR
             tail = float(n_total - i) if clamped_s else d_s
         else:
-            low = np.flatnonzero(head[:limit] < EPS_DEGREE) if exact else None
-            if low is not None and low.size:
+            if exact and (low := np.flatnonzero(head[:limit] < EPS_DEGREE)).size:
                 limit = int(low[0])
                 bad = (i, limit, float(head[limit]))
                 if limit == 0:
@@ -232,9 +232,9 @@ def _config_columns(
                 continue
             tail = d_s
         per_x[i - 1] = tail_sum
-        f = scratch[:i]
+        f, acc = scratch[:i], per_x[:i]
         divide(inv_lam, head, out=f)
-        add(per_x[:i], f, out=per_x[:i])
+        add(acc, f, out=acc)
         tail_sum += inv_lam / tail
         if values is not None:
             values[:i, i - 1] = head
