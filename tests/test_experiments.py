@@ -688,6 +688,23 @@ def test_cli_single_record_output_bytes(command, fmt, tmp_path, capsys):
     assert capsys.readouterr().out == SINGLE_RECORD_BYTES[command, fmt]
 
 
+# sha256 of the --trace file of two of the single-record commands
+TRACE_FILE_DIGESTS = {
+    "simulate-full-mesh": "f1ae0d25fe865331738289624f2483b1dce67bbdc26bfb8062b74ae98e77b6ff",
+    "simulate-tiered": "a33358f305ab6d65a1e5f51962c66652d3888987ba5ce64efddd5e389c58733a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACE_FILE_DIGESTS))
+def test_cli_trace_file_bytes(command, tmp_path, capsys):
+    trace_path = tmp_path / "trace.txt"
+    argv = SINGLE_RECORD_COMMANDS[command]
+    assert run_cli(*argv, "--trace", str(trace_path)) == 0
+    assert capsys.readouterr().out == SINGLE_RECORD_BYTES[command, "text"]
+    digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    assert digest == TRACE_FILE_DIGESTS[command]
+
+
 # sha256 of the stdout of small sweep and core grids under both policies
 GRID_COMMANDS = {
     "sweep-poisson-regenerate": (

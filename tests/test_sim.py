@@ -263,6 +263,46 @@ def test_tiered_without_transit_cannot_converge():
         simulate_once(cfg, 0)
 
 
+def trace_case(case):
+    """(cfg, run index) for the trace pins below."""
+    if case.startswith("mesh-"):
+        return mesh_cfg(12, 3, seed=2), int(case[5:])
+    if case == "split":
+        return RunConfig(graph=split_graph(), announcer=0, seed=1,
+                         policy="reachable-only"), 0
+    return RunConfig(graph=gg.gen_tiered_core(TIERED, 0), announcer=25, seed=1), 0
+
+
+@pytest.mark.parametrize(
+    "case,digest,conv",
+    [
+        ("mesh-0", "5c050298a1f11ec8d8322418019dc0d44447d0f8355e4d2715e4b69808dd5acc",
+         "2.9250151554065926"),
+        ("mesh-1", "6ded1bbb0254e94e81435c524fa8abff0ea924f17aee7e86c63cdb2e26e37b9a",
+         "1.6031378699380163"),
+        ("mesh-2", "e8e79ed9042b902737578b01728e1fd0cabcd0a04a679df94bc71ffc2a4dcf68",
+         "0.9166799878022764"),
+        ("mesh-3", "6bb68ee0ada5084b3ffd9c4211ea97813cc2eb95e212b97ba55e759eb1d8a485",
+         "2.6575682322989396"),
+        ("mesh-4", "4801b0c8eda5477d9f0d7fce9c794291e5f2dbe6924df519a642941727b98165",
+         "1.3826940086877362"),
+        ("split", "b5db48cd83aeaebebc131a0b5a106388323dc9865058f33e7a8fedc35463a1b5",
+         "0.6458143036036048"),
+        ("tiered", "a11a586743fcc96a607504e09f9386d012a7ea7ad40b5edfc949d1393d381c61",
+         "4.361070594888465"),
+    ],
+)
+def test_trace_bytes_are_pinned(case, digest, conv):
+    # format_trace bytes and the exact convergence time: full-mesh runs
+    # whose first or a later event merges the 3-node cluster, a
+    # reachable-only run that leaves nodes 2 and 3 at -1, and a tiered
+    # run from tier-2 node 25
+    cfg, run = trace_case(case)
+    trace = simulate_once(cfg, run)
+    assert hashlib.sha256(format_trace(trace).encode("ascii")).hexdigest() == digest
+    assert repr(trace.convergence_time) == conv
+
+
 def test_announcer_policy_validation():
     res = simulate_batch(mesh_cfg(6, 1, seed=0, announcer=2), 8)
     assert (np.asarray(res.announcers) == 2).all()
