@@ -16,7 +16,7 @@ apply the same floating-point operations to each entry: each draw is
 multiplied by 1/lambda once, when its chunk is drawn, and each event
 time is a running sum of the winning delays.  Selection is
 via the BGPCONV_BACKEND environment variable ("numba", "numpy", or
-"auto") or an explicit argument.
+"auto") or an explicit argument taking the same names.
 
 Kernel contract: run_dissemination informs the origin and owns the
 run's one Generator.  The state is two bool arrays: uninformed, and
@@ -37,6 +37,7 @@ began, and the state is as it was there.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -59,16 +60,22 @@ STATUS_REFILL = -1
 STATUS_STUCK = -2
 
 
+def _backend_name(raw: str) -> str:
+    """The backend a name selects: "numba" or "numpy", and "auto" (or
+    empty) prefers numba.  Reads HAS_NUMBA at call time."""
+    name = raw.strip().lower() or "auto"
+    if name == "auto":
+        return "numba" if HAS_NUMBA else "numpy"
+    if name not in ("numba", "numpy"):
+        raise DomainError(f"unknown backend {raw!r}; use numba, numpy, or auto")
+    if name == "numba" and not HAS_NUMBA:
+        raise DomainError("numba backend requested but numba is not importable")
+    return name
+
+
 def active_backend() -> str:
     """Backend chosen by BGPCONV_BACKEND (unset or 'auto' prefers numba)."""
-    raw = os.environ.get(ENV_BACKEND, "auto").strip().lower() or "auto"
-    if raw not in ("auto", "numba", "numpy"):
-        raise DomainError(f"unknown backend {raw!r}; use numba, numpy, or auto")
-    if raw == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if raw == "numba" and not HAS_NUMBA:
-        raise DomainError("numba backend requested but numba is not importable")
-    return raw
+    return _backend_name(os.environ.get(ENV_BACKEND, "auto"))
 
 
 def _scalar_kernel(
@@ -196,25 +203,23 @@ def run_dissemination(
     draws it had not used followed by the next chunk of the same stream,
     so results never depend on the chunk size.
 
-    An announcer outside [0, N) is a DomainError under either policy.
+    backend is "numba", "numpy" or "auto"; None reads BGPCONV_BACKEND.
+    An announcer outside [0, N), or an inv_lam that is not finite and
+    positive, is a DomainError under either policy, so every informed
+    time is >= 0 and the run's convergence time is the largest entry.
     Nodes the announcement cannot reach raise under the "strict" policy;
     under "reachable-only" the run covers what it can and leaves those
     entries at -1.
     """
-    name = backend if backend is not None else active_backend()
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise DomainError("numba backend requested but numba is not importable")
-        kern = _scalar_kernel_jit
-    elif name == "numpy":
-        kern = _vector_kernel
-    else:
-        raise DomainError(f"unknown backend {name!r}; use numba or numpy")
+    name = active_backend() if backend is None else _backend_name(backend)
+    kern = _scalar_kernel_jit if name == "numba" else _vector_kernel
     if policy not in ("strict", "reachable-only"):
         raise DomainError(f"unknown policy {policy!r}; use strict or reachable-only")
+    inv_lam = float(inv_lam)
+    if not 0.0 < inv_lam < math.inf:
+        raise DomainError(f"1/lam must be finite and positive, got {inv_lam!r}")
 
     announcer = check_in_range(graph, announcer)
-    inv_lam = float(inv_lam)
     forwards = forwarder_mask(graph, announcer)
     is_cluster = graph.cluster_mask
     cluster_nbrs = graph.cluster_neighborhood

@@ -18,8 +18,9 @@ become the subcommand's defaults on a tree built for that call alone,
 and argv is parsed again over them, so a file never changes the shared
 tree or a later call's defaults.
 
-Exit codes: 0 success, 2 domain or usage error, 3 unreachable
-topology, 4 I/O.
+Exit codes: 0 success, 2 domain or usage error (an input the model
+cannot evaluate, or one whose evaluation does not fit in memory), 3
+unreachable topology, 4 I/O.
 """
 
 from __future__ import annotations
@@ -381,6 +382,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except UnreachableTopologyError as exc:
         print(f"error: {exc}", file=sys.stderr)

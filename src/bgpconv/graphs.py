@@ -46,14 +46,6 @@ MAX_NODES = 3_037_000_499
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
-def as_generator(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph in CSR form.
@@ -175,62 +167,47 @@ def _sample_cluster(rng: np.random.Generator, pool_size: int, k: int) -> np.ndar
 
 def gen_full_mesh(params: ModelParams, seed: SeedLike) -> Graph:
     """Complete graph on n_total nodes with a uniformly sampled cluster."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = params.n_total
     u, v = np.triu_indices(n, k=1)
     cluster = _sample_cluster(rng, n, params.k_cluster)
     return from_edges(n, u.astype(np.int64), v.astype(np.int64), cluster=cluster)
 
 
-# most pair uniforms gen_poisson draws at once, a row longer than this
-# drawn whole: 128 KiB of draws is as fast as larger blocks at n = 300
-# and 3000, and raises peak memory less
+# most pair uniforms _bernoulli_pairs draws at once: 128 KiB of draws is
+# as fast as larger blocks at n = 300 and 3000, and raises peak memory less
 PAIR_BLOCK = 1 << 14
 
 
-def _row_start(n: int) -> np.ndarray:
-    """Offsets of the rows of the n-node pair list in row-major order.
+def _bernoulli_pairs(
+    rng: np.random.Generator, n: int, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (u, v), u < v, of the n-node pairs hit with probability p.
 
-    row_start[u] is the index of pair (u, u + 1); row_start[n - 1] is the
-    pair count.
+    One uniform per pair in row-major pair order ((0, 1), (0, 2), ...,
+    (1, 2), ...), drawn PAIR_BLOCK at a time; consecutive draws from one
+    Generator concatenate, so the block size never changes the pairs.
     """
+    # row_start[u] is the index of pair (u, u + 1); row_start[n - 1] is
+    # the pair count
     row_start = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
-    return row_start
-
-
-def _pair_ends(row_start: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (u, v), u < v, of the pairs at indices hit (ascending)."""
+    total = int(row_start[-1])
+    hits = [np.flatnonzero(rng.random(min(PAIR_BLOCK, total - lo)) < p) + lo
+            for lo in range(0, total, PAIR_BLOCK)]
+    hit = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
     row = np.searchsorted(row_start, hit, side="right") - 1
     return row, hit - row_start[row] + row + 1
 
 
 def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
-    """Independent-edge graph: each pair connected with probability p_edge.
-
-    One uniform per pair in row-major pair order ((0, 1), (0, 2), ...,
-    (1, 2), ...), drawn in blocks of whole rows; consecutive draws from
-    one Generator concatenate, so the block size never changes the graph.
-    """
+    """Independent-edge graph: each pair connected with probability p_edge
+    (see _bernoulli_pairs for the draw order)."""
     if not 0.0 <= p_edge <= 1.0:
         raise DomainError(f"p_edge must be in [0, 1], got {p_edge}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = params.n_total
-    row_start = _row_start(n)
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    r0 = 0
-    while r0 < n - 1:
-        lo = row_start[r0]
-        r1 = max(int(np.searchsorted(row_start, lo + PAIR_BLOCK, side="right")) - 1,
-                 r0 + 1)
-        hit = np.flatnonzero(rng.random(row_start[r1] - lo) < p_edge) + lo
-        row, col = _pair_ends(row_start, hit)
-        us.append(row)
-        vs.append(col)
-        r0 = r1
-    u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
+    u, v = _bernoulli_pairs(rng, n, p_edge)
     cluster = _sample_cluster(rng, n, params.k_cluster)
     return from_edges(n, u, v, cluster=cluster)
 
@@ -254,7 +231,7 @@ def gen_power_law_degrees(
         raise DomainError(f"d_max must be below n, got {d_max} >= {n}")
     if not exponent > 1.0:
         raise DomainError(f"exponent must be > 1, got {exponent}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     support = np.arange(d_min, d_max + 1, dtype=np.float64)
     pmf = support ** (-float(exponent))
     pmf /= pmf.sum()
@@ -292,7 +269,7 @@ def gen_config_model(
         raise DomainError("every degree must be below the node count")
     if int(degrees.sum()) % 2 != 0:
         raise DomainError("degree sum must be even; apply a parity fix first")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     stubs = rng.permutation(stubs)
     a = stubs[0::2]
@@ -315,25 +292,18 @@ def gen_tiered_core(spec: TieredCore, seed: SeedLike) -> Graph:
     independent Bernoulli layers: tier-1 peering (p11), transit (p12),
     tier-2 peering (p22).  The cluster is k1 nodes uniform over tier-1.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n1, n2 = spec.n1, spec.n2
     n = n1 + n2
 
-    # one uniform per pair in row-major pair order, as in gen_poisson
-    row_start = _row_start(n1)
-    e11_u, e11_v = _pair_ends(
-        row_start, np.flatnonzero(rng.random(row_start[-1]) < spec.p11)
-    )
+    e11_u, e11_v = _bernoulli_pairs(rng, n1, spec.p11)
 
     m12 = rng.random((n1, n2)) < spec.p12
     t1, t2 = np.nonzero(m12)
     e12_u = t1.astype(np.int64)
     e12_v = t2.astype(np.int64) + n1
 
-    row_start = _row_start(n2)
-    e22_u, e22_v = _pair_ends(
-        row_start, np.flatnonzero(rng.random(row_start[-1]) < spec.p22)
-    )
+    e22_u, e22_v = _bernoulli_pairs(rng, n2, spec.p22)
     e22_u += n1
     e22_v += n1
 

@@ -12,12 +12,19 @@ distribution P_sdn(x) of the cluster-hit step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError
+
+
+def _check_rate(lam: float) -> None:
+    """DomainError unless lam and 1/lam are both finite and positive."""
+    if not 0.0 < lam < math.inf or 1.0 / float(lam) == math.inf:
+        raise DomainError(f"lam must be positive with a finite reciprocal, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -31,7 +38,8 @@ class ModelParams:
     k_cluster:
         Number of ASes in the SDN cluster (k), 1 <= k <= N.
     lam:
-        Per-neighbor forwarding rate of BGP updates, in 1/time.
+        Per-neighbor forwarding rate of BGP updates, in 1/time; it and
+        its reciprocal must be finite and positive.
     """
 
     n_total: int
@@ -45,8 +53,7 @@ class ModelParams:
             raise DomainError(
                 f"k_cluster must be in [1, {self.n_total}], got {self.k_cluster}"
             )
-        if not self.lam > 0:
-            raise DomainError(f"lam must be positive, got {self.lam}")
+        _check_rate(self.lam)
 
     @property
     def steps(self) -> int:
@@ -105,10 +112,10 @@ class ConfigModel:
         else:
             if self.mu_d is None or self.cv_d is None:
                 raise DomainError("ConfigModel needs degree_seq or (mu_d, cv_d)")
-            if not self.mu_d > 0:
-                raise DomainError(f"mu_d must be positive, got {self.mu_d}")
-            if self.cv_d < 0:
-                raise DomainError(f"cv_d must be >= 0, got {self.cv_d}")
+            if not 0.0 < self.mu_d < math.inf:
+                raise DomainError(f"mu_d must be positive and finite, got {self.mu_d}")
+            if not 0.0 <= self.cv_d < math.inf:
+                raise DomainError(f"cv_d must be >= 0 and finite, got {self.cv_d}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +144,7 @@ class TieredCore:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise DomainError(f"{name} must be in [0, 1], got {v}")
-        if not self.lam > 0:
-            raise DomainError(f"lam must be positive, got {self.lam}")
+        _check_rate(self.lam)
 
 
 TopologySpec = Union[FullMesh, Poisson, ConfigModel, TieredCore]

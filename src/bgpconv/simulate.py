@@ -57,7 +57,10 @@ class RunStats:
 class RunConfig:
     """One simulation setup: a concrete graph plus run parameters.
 
-    announcer is a node id or "uniform" (redrawn per run).  Under the
+    announcer is a node id or "uniform" (redrawn per run).  A node id is
+    checked here, once per config (in range, and tier-2 on a tiered
+    graph), and kept as an int.  lam must be positive; run_dissemination
+    also rejects a rate whose reciprocal is not finite.  Under the
     "strict" policy a run that cannot cover every node raises; under
     "reachable-only" it converges once all reachable nodes are informed.
     """
@@ -69,15 +72,18 @@ class RunConfig:
     policy: str = "strict"
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise DomainError(f"lam must be positive, got {self.lam}")
         if self.policy not in ("strict", "reachable-only"):
             raise DomainError(f"unknown policy {self.policy!r}")
         if isinstance(self.announcer, str):
             if self.announcer != "uniform":
                 raise DomainError(f"unknown announcer policy {self.announcer!r}")
-        else:
-            _check_announcer(self.graph, self.announcer)
+            return
+        announcer = check_in_range(self.graph, self.announcer)
+        if self.graph.is_tiered and self.graph.roles[announcer] != ROLE_TIER2:
+            raise DomainError("tiered announcements must originate at a tier-2 node")
+        object.__setattr__(self, "announcer", announcer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,21 +100,13 @@ class DisseminationTrace:
     convergence_time: float
 
 
-def _check_announcer(graph: Graph, announcer: int) -> int:
-    announcer = check_in_range(graph, announcer)
-    if graph.is_tiered and graph.roles[announcer] != ROLE_TIER2:
-        raise DomainError("tiered announcements must originate at a tier-2 node")
-    return announcer
-
-
 def _run_times(cfg: RunConfig, run_index: int) -> tuple[int, np.ndarray]:
     """Resolve the run's announcer and produce per-node informed times."""
     run_ss = np.random.SeedSequence((int(cfg.seed), int(run_index)))
     ann_child, clock_child = run_ss.spawn(2)
-    if isinstance(cfg.announcer, str):
+    origin = cfg.announcer
+    if isinstance(origin, str):
         origin = draw_announcer(np.random.default_rng(ann_child), cfg.graph)
-    else:
-        origin = _check_announcer(cfg.graph, cfg.announcer)
     times, _ = run_dissemination(
         cfg.graph, origin, 1.0 / float(cfg.lam), clock_child, policy=cfg.policy
     )
@@ -118,26 +116,18 @@ def _run_times(cfg: RunConfig, run_index: int) -> tuple[int, np.ndarray]:
 def simulate_once(cfg: RunConfig, run_index: int = 0) -> DisseminationTrace:
     """Run one dissemination and keep the full event trace."""
     origin, times = _run_times(cfg, run_index)
-    reached = np.flatnonzero(times >= 0.0)
-    order = reached[np.argsort(times[reached], kind="stable")]
-    events: list[tuple[float, frozenset]] = []
-    cur_t: float | None = None
-    cur_nodes: list[int] = []
-    for idx in order:
-        when = float(times[idx])
-        if cur_t is None or when != cur_t:
-            if cur_nodes:
-                events.append((cur_t, frozenset(cur_nodes)))
-            cur_t = when
-            cur_nodes = [int(idx)]
-        else:
-            cur_nodes.append(int(idx))
-    if cur_nodes:
-        events.append((cur_t, frozenset(cur_nodes)))
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    # unreached nodes hold -1.0, so they sort first and are no event
+    first = int(ordered.searchsorted(0.0))
+    order, ordered = order[first:], ordered[first:]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    events = tuple(
+        (when, frozenset(nodes.tolist()))
+        for when, nodes in zip(ordered[np.r_[0, cuts]].tolist(), np.split(order, cuts))
+    )
     return DisseminationTrace(
-        announcer=origin,
-        events=tuple(events),
-        convergence_time=float(times[reached].max()),
+        announcer=origin, events=events, convergence_time=float(times.max())
     )
 
 
@@ -167,8 +157,7 @@ def simulate_batch(cfg: RunConfig, runs: int) -> BatchResult:
             origin, node_times = _run_times(cfg, r)
         except UnreachableTopologyError as exc:
             raise UnreachableTopologyError(f"run {r}: {exc}") from exc
-        reached = node_times >= 0.0
-        times[r] = node_times[reached].max()
+        times[r] = node_times.max()
         announcers[r] = origin
     return BatchResult(
         times=times, announcers=announcers, stats=RunStats.from_times(times)

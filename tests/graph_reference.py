@@ -2,10 +2,10 @@
 depth-first reachability and a per-node structure check, the reference
 for the tests.
 
-The package draws Poisson pair uniforms in blocks of whole rows, maps
-pair hits back to endpoints through row start offsets, and finds
-reachable nodes by a level-synchronous breadth-first search over the CSR
-arrays.  The functions here do the same work one row, one index table
+The package draws Poisson and tiered peering pair uniforms in
+fixed-size blocks, maps pair hits back to endpoints through row start
+offsets, and finds reachable nodes by a level-synchronous breadth-first
+search over the CSR arrays.  The functions here do the same work one row, one index table
 and one node at a time, so the equivalence tests compare two
 implementations: graphs bit for bit, reachable sets exactly.  The
 package checks a graph's invariants once, vectorized, in from_edges;
@@ -24,7 +24,6 @@ from bgpconv.graphs import (
     ROLE_TIER2,
     Graph,
     _sample_cluster,
-    as_generator,
     forwarder_mask,
     from_edges,
 )
@@ -33,7 +32,7 @@ from bgpconv.model import ModelParams, TieredCore
 
 def gen_poisson_rowwise(params: ModelParams, p_edge: float, seed) -> Graph:
     """gen_poisson with one Generator.random call per row of pairs."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = params.n_total
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
@@ -51,7 +50,7 @@ def gen_poisson_rowwise(params: ModelParams, p_edge: float, seed) -> Graph:
 
 def gen_tiered_core_triu(spec: TieredCore, seed) -> Graph:
     """gen_tiered_core with the peering pairs listed by np.triu_indices."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n1, n2 = spec.n1, spec.n2
     n = n1 + n2
 

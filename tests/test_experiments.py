@@ -362,6 +362,45 @@ def test_cli_config_values_obey_the_flags_choices(tmp_path, capsys):
     assert "policy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "config-model --mu-d 3 --cv-d nan",
+        "config-model --mu-d 3 --cv-d inf",
+        "config-model --mu-d inf",
+        "full-mesh --lam inf",
+        "full-mesh --lam 1e-320",
+        "tiered --lam inf",
+        "tiered --lam 1e-320",
+    ],
+)
+def test_cli_analytic_rejects_non_finite_inputs(flags, capsys):
+    argv = ["analytic", "--n", "50", "--degenerate", "clamp", "--family", *flags.split()]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "exc,message",
+    [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "Unable to allocate 74.5 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_cli_memory_error_exits_2(exc, message, monkeypatch, capsys):
+    # as numpy raises when a closed form's arrays do not fit in memory
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "convergence_time", exhausted)
+    assert run_cli("analytic", "--family", "full-mesh", "--n", "10") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_unreachable_exit_code(capsys):
     code = run_cli(
         "simulate", "--family", "poisson", "--n", "40", "--p-edge", "0.001",

@@ -103,12 +103,17 @@ def test_poisson_blocks_match_rowwise_draws(n, p_edge):
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_poisson_block_size_never_changes_the_graph(monkeypatch, block):
-    # blocks smaller than a row hold that one row; others end mid-range
+    # blocks of 1, 7 and 64 draws end mid-row and span rows
     monkeypatch.setattr(gg, "PAIR_BLOCK", block)
     for seed in (3, 4):
         params = ModelParams(40, 4)
         assert_same_graph(gen_poisson(params, 0.2, seed),
                           gen_poisson_rowwise(params, 0.2, seed))
+        # the tiered peering layers take the same blocks
+        spec = TieredCore(9, 30, 2, 0.5, 0.25, 0.3)
+        a, b = gen_tiered_core(spec, seed), gen_tiered_core_triu(spec, seed)
+        assert_same_graph(a, b)
+        np.testing.assert_array_equal(a.kinds, b.kinds)
 
 
 def test_poisson_determinism():

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from bgpconv.errors import DomainError
 from bgpconv.model import (
+    ConfigModel,
     ModelParams,
+    TieredCore,
     degree_stats,
     informed_counts_row,
     p_sdn_distribution,
@@ -153,6 +155,24 @@ def test_params_validation():
         ModelParams(4, 2, 0.0)
     with pytest.raises(DomainError):
         ModelParams(4, 2, -1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 1e-320])
+def test_rates_whose_reciprocal_is_not_finite_are_rejected(lam):
+    # 1e-320 is positive, but 1 / 1e-320 overflows to inf
+    with pytest.raises(DomainError, match="lam"):
+        ModelParams(4, 2, lam)
+    with pytest.raises(DomainError, match="lam"):
+        TieredCore(4, 8, 1, 0.5, 0.5, 0.5, lam)
+    ModelParams(4, 2, 1e-300)  # a small rate with a finite reciprocal is valid
+
+
+@pytest.mark.parametrize(
+    "mu_d,cv_d", [(math.inf, 0.5), (math.nan, 0.5), (3.0, math.nan), (3.0, math.inf)]
+)
+def test_config_model_rejects_non_finite_degree_stats(mu_d, cv_d):
+    with pytest.raises(DomainError, match="mu_d" if cv_d == 0.5 else "cv_d"):
+        ConfigModel(ModelParams(50, 1), mu_d=mu_d, cv_d=cv_d)
 
 
 def test_step_context_validation():

@@ -306,6 +306,37 @@ def test_trace_bytes_are_pinned(case, digest, conv):
 def test_announcer_policy_validation():
     res = simulate_batch(mesh_cfg(6, 1, seed=0, announcer=2), 8)
     assert (np.asarray(res.announcers) == 2).all()
+    # an explicit announcer is checked once, when the config is built
+    cfg = mesh_cfg(6, 1, announcer=np.int64(3))
+    assert type(cfg.announcer) is int and cfg.announcer == 3
+    with pytest.raises(DomainError, match="announcer policy"):
+        mesh_cfg(6, 1, announcer="first")
+
+
+def test_nan_rate_fails_when_the_config_is_built():
+    g = gg.gen_full_mesh(ModelParams(6, 1, 1.0), 0)
+    for lam in (math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="lam"):
+            RunConfig(graph=g, lam=lam)
+
+
+@pytest.mark.parametrize("lam", [1e-320, math.inf])
+def test_rate_without_a_finite_reciprocal_fails_at_the_first_run(lam):
+    # both pass RunConfig's lam > 0; 1 / 1e-320 overflows to inf and
+    # 1 / inf is 0, and the kernel accepts neither
+    cfg = RunConfig(graph=gg.gen_full_mesh(ModelParams(6, 1), 0), lam=lam)
+    with pytest.raises(DomainError, match="1/lam"):
+        simulate_batch(cfg, 3)
+    with pytest.raises(DomainError, match="1/lam"):
+        simulate_once(cfg, 0)
+
+
+@pytest.mark.parametrize("policy", ["strict", "reachable-only"])
+@pytest.mark.parametrize("inv_lam", [math.nan, -1.0, 0.0, math.inf])
+def test_kernel_rejects_a_scale_that_is_not_finite_and_positive(inv_lam, policy):
+    g = gg.gen_full_mesh(ModelParams(6, 1, 1.0), 0)
+    with pytest.raises(DomainError, match="1/lam"):
+        run_dissemination(g, 0, inv_lam, 0, "numpy", policy)
 
 
 @pytest.mark.parametrize("policy", ["strict", "reachable-only"])
@@ -378,6 +409,25 @@ def test_env_selected_backend_matches_explicit(monkeypatch):
     via_env, used_env = run_dissemination(g, 3, 1.0, 77)
     np.testing.assert_array_equal(explicit, via_env)
     assert used_explicit == used_env
+
+
+@pytest.mark.parametrize("has_numba", [False, True])
+def test_explicit_auto_backend_matches_the_environment(monkeypatch, has_numba):
+    # one resolver for the argument and BGPCONV_BACKEND, and it reads the
+    # numba flag at call time; numba here runs the un-jitted scalar kernel
+    monkeypatch.setattr(kernels, "HAS_NUMBA", has_numba)
+    monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
+    monkeypatch.setenv("BGPCONV_BACKEND", "auto")
+    assert kernels._backend_name("auto") == ("numba" if has_numba else "numpy")
+    g = gg.gen_tiered_core(TIERED, 3)
+    auto, used_auto = run_dissemination(g, 21, 0.7, 77, backend="auto",
+                                        policy="reachable-only")
+    via_env, used_env = run_dissemination(g, 21, 0.7, 77, policy="reachable-only")
+    np.testing.assert_array_equal(auto, via_env)
+    assert used_auto == used_env
+    for bad in ("fortran", "numba" if not has_numba else "jax"):
+        with pytest.raises(DomainError, match="backend"):
+            run_dissemination(g, 21, 0.7, 77, backend=bad)
 
 
 # ------------------------------------------------------- draw bookkeeping
