@@ -5,6 +5,7 @@ law (binomial / truncated power law), pooled over enough seeds that a
 correct implementation clears them with wide margin.
 """
 
+import hashlib
 import io
 import math
 
@@ -581,3 +582,92 @@ def test_gen_graph_dispatch():
     assert gen_graph(seq_spec, 0).node_count == 12
     with pytest.raises(DomainError):
         gen_graph(ConfigModel(params, mu_d=3.0, cv_d=0.5), 0)  # stats only, nothing to build
+
+
+# ------------------------------------------------------------- byte pins
+
+def csr_digest(graphs):
+    """sha256 over the CSR bytes (indptr, indices, kinds, roles, cluster)
+    of each graph in turn; a flat graph's missing kinds hash as b"flat"."""
+    h = hashlib.sha256()
+    for g in graphs:
+        for arr in (g.indptr, g.indices, g.kinds, g.roles, g.cluster):
+            h.update(b"flat" if arr is None else arr.tobytes())
+    return h.hexdigest()
+
+
+def exported_tiered():
+    buf = io.StringIO()
+    export_graph(gen_tiered_core(TieredCore(20, 100, 5, 0.5, 0.25, 0.3), 3), buf)
+    return import_graph(io.StringIO(buf.getvalue()))
+
+
+CORE_GRID = [(p22, k1) for p22 in (0.1, 0.3, 0.5) for k1 in (1, 5, 10, 20)]
+
+# (case, PAIR_BLOCK or None for the default) -> the graphs it builds
+CSR_CASES = {
+    "mesh": lambda: [gen_full_mesh(ModelParams(30, 4), s) for s in (0, 7)],
+    "poisson": lambda: [gen_poisson(ModelParams(150, 15), 0.05, s) for s in (0, 5)],
+    "poisson-sparse": lambda: [gen_poisson(ModelParams(600, 6), 0.01, 2)],
+    "config": lambda: [gen_config_model(
+        ModelParams(200, 5), gen_power_law_degrees(200, 2, 40, 2.5, 3), 4)],
+    **{f"tiered-{p22}-{k1}": (lambda p22=p22, k1=k1: [
+        gen_tiered_core(TieredCore(20, 100, k1, 0.5, 0.25, p22), s) for s in range(5)])
+       for p22, k1 in CORE_GRID},
+    "tiered-p1": lambda: [gen_tiered_core(TieredCore(6, 12, 2, 1.0, 1.0, 1.0), 0)],
+    "tiered-small": lambda: [
+        gen_tiered_core(TieredCore(n1, n2, 1, 0.5, 0.5, 0.5), s)
+        for n1 in (1, 2, 6) for n2 in (1, 2, 6) for s in range(3)],
+    "import-tiered": lambda: [exported_tiered()],
+}
+
+CSR_PINS = {
+    "mesh":
+        "09418963c1cf1bab7a6dbae94a5d3dbecce84db429e2ce4824f48f74495eff68",
+    "poisson":
+        "efc562c09bcf813242e39211578ef1ea0a4f2ae41b8b3cd84d833a819ccc131a",
+    "poisson-sparse":
+        "b71e3f1bf59400311b2544f82250171bff9a316147ae9bf23249a470d826dc1b",
+    "config":
+        "9565bb3c6a6cd71be2132e419996036413bfd5bc48d89e8a69e858535eb819e4",
+    "tiered-0.1-1":
+        "a37eb7eb64037bb370f1195703997b50d1036ad500390f2b5fd5d6714dc93d5b",
+    "tiered-0.1-5":
+        "fba73b80b5b4f66d0209fdbf3a64724d3fcd7652278b9f8bd808917011d58954",
+    "tiered-0.1-10":
+        "4bba896d664a4122028ad718f6d11342469ca2aaf5617bdfd19853deba4e7c99",
+    "tiered-0.1-20":
+        "4d7bfa8931dea6aa19043c08ca1a7095a62507c03a3551e72af3f46db2791a63",
+    "tiered-0.3-1":
+        "ef913802f3e6e9ea603c9b0ecd3355f0be34bb9cb3b52c3b80e9aee19824f938",
+    "tiered-0.3-5":
+        "580214750649fd02d0877884d6c402c76c49746a8fb8e571c9932f1e24f36db6",
+    "tiered-0.3-10":
+        "83a7b7305f4614dd0f37d32a14bd246150b2de5c68681efa4d32f0dd848c26bc",
+    "tiered-0.3-20":
+        "387560a10f63312d5d45a0544fb18669bdebe2b3f0480833f0f8faa0c884e6ba",
+    "tiered-0.5-1":
+        "46a390bd6de2adfd4c8a4e651fb35f035b02b1b8958b0f2823221899131f30f2",
+    "tiered-0.5-5":
+        "6428ad028bf21a0e104bfddda0df0c45c4a2abe4165efc3534f49d237f201006",
+    "tiered-0.5-10":
+        "6d90d63398a3af51db41a00286ac5083cd50d1f815364ee05c85d72461554329",
+    "tiered-0.5-20":
+        "4e785d821b27261aa246a4eb0106a344585cf8591205ecf00d6d37b51c49d90d",
+    "tiered-p1":
+        "bc8dcdc6790ca728c13c436477abab490d857131fde45fa777340845db32c9d8",
+    "tiered-small":
+        "a5eddc729cc9522c7c12fa519574d4b04b58bb5287e77c81884a07521fb117db",
+    "import-tiered":
+        "0967502065ce23eeb7281213d190f6cbb62b5bdb22235e1c54b7824cfcde492c",
+}
+
+
+@pytest.mark.parametrize("block", [None, 97])
+@pytest.mark.parametrize("case", sorted(CSR_PINS))
+def test_csr_bytes_are_pinned(monkeypatch, case, block):
+    # every generator's CSR arrays, byte for byte; pair draws split into
+    # blocks of 97 give the same bytes as the default single block
+    if block is not None:
+        monkeypatch.setattr(gg, "PAIR_BLOCK", block)
+    assert csr_digest(CSR_CASES[case]()) == CSR_PINS[case]

@@ -517,6 +517,55 @@ def test_cluster_merge_and_rate_keep_the_stream(monkeypatch, kernel, case, diges
     assert used == draws
 
 
+def tail_case(case):
+    """(graph, announcer, lam) for runs whose frontier comes to hold every
+    uninformed node before the run ends."""
+    if case.startswith("mesh"):
+        g = gg.gen_full_mesh(ModelParams(40, 6), 11)
+        ann = g.cluster[0] if case == "mesh-in" else np.flatnonzero(~g.cluster_mask)[0]
+        return g, int(ann), 0.7
+    if case == "tiered":
+        return gg.gen_tiered_core(TieredCore(20, 100, 5, 0.5, 0.25, 0.3), 3), 21, 1.0
+    if case == "poisson":
+        # the 4-member cluster is hit after the frontier saturates
+        return gg.gen_poisson(ModelParams(60, 4), 0.15, 0), 0, 0.7
+    return star_graph(2100), 1, 1.0
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "scalar"])
+@pytest.mark.parametrize(
+    "case,digest,draws",
+    [
+        ("mesh-in", "d63f6caf1ef85f06928c8080d8564b143143b0d6ca2e7d0cba10c6ff2aa6f7a8",
+         595),
+        ("mesh-out", "cc6f2dd168ce190fff76b01c19dfa712131f2aaafc1a76e9f24fd7badfb20d7a",
+         620),
+        ("tiered", "3cd32eaf171e968dc4c45c97017e912cb9ec32b89a6f296cbdb2b9026764df06",
+         4_666),
+        ("poisson", "98c5074765913f9685c1bd2becce6b8c68ebc6d1720379708b4465e20ce2b7ed",
+         1_427),
+        ("star", "481dc214e94beb210189d8cee11e51142d838b44fa935bb9ec160a4d0b19f6e4",
+         2_201_852),
+    ],
+)
+def test_saturated_frontier_runs_keep_the_stream(monkeypatch, kernel, case, digest, draws):
+    # times (exact bytes) and draws used of runs that spend their last
+    # steps with every uninformed node on the frontier: a full mesh from
+    # inside and outside its cluster, a tiered run, a Poisson run whose
+    # cluster is hit in those steps, and the star, whose buffer runs
+    # short in them
+    g, ann, lam = tail_case(case)
+    backend = "numpy"
+    if kernel == "scalar":
+        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+        monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
+        backend = "numba"
+    times, used = run_dissemination(g, ann, 1.0 / lam, 901, backend=backend,
+                                    policy="reachable-only")
+    assert hashlib.sha256(times.tobytes()).hexdigest() == digest
+    assert used == draws
+
+
 def stuck_runs():
     """(graph, announcer, lam) for 120 runs that leave nodes unreached:
     disconnected Poisson graphs and tiered graphs with sparse transit."""
