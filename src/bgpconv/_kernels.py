@@ -33,6 +33,18 @@ n_informed, t).
 STATUS_OK: every node is informed.  STATUS_STUCK: the frontier is empty.
 STATUS_REFILL: the buffer ran short; pos is where the unfinished step
 began, and the state is as it was there.
+
+Saturated tail (numpy kernel): once a step finds the frontier holding
+every uninformed node, no later step can add a frontier node, since
+informing a node only removes it (and, on a cluster hit, the cluster's
+other members).  From there the frontier is the ascending list of the
+remaining uninformed nodes, so the kernel finishes on a Python list:
+each step is one slice of draws, one argmin and one list pop.  The
+steps take the same draws in the same order, the same first-occurrence
+argmin and the same running sum as stepping the arrays, so times and
+draws used are bit-identical.  The informed nodes are written back to
+front, uninformed and out_times before the kernel returns, so the state
+at return is as above on every status.
 """
 
 from __future__ import annotations
@@ -137,6 +149,9 @@ def _vector_kernel(
         size = frontier.size
         if size == 0:
             return (STATUS_STUCK, pos, n_informed, t)
+        if size == n - n_informed:
+            return _saturated_tail(
+                frontier, cluster, front, uninformed, n_informed, t, draws, pos, out_times)
         if pos + size > n_draws:
             return (STATUS_REFILL, pos, n_informed, t)
         delays = draws[pos : pos + size]
@@ -157,6 +172,47 @@ def _vector_kernel(
             n_informed += new.size
             front[cluster_nbrs] = uninformed[cluster_nbrs]
     return (STATUS_OK, pos, n_informed, t)
+
+
+def _saturated_tail(frontier, cluster, front, uninformed, n_informed, t, draws, pos,
+                    out_times):
+    """_vector_kernel's steps from one whose frontier holds every
+    uninformed node, to the end of the run or of the draws.
+
+    The frontier is then the ascending list of uninformed nodes, and an
+    informed node leaves it without adding any (all are on it already).
+    So each step is one slice of draws, one argmin over it and one pop
+    from that list; a cluster hit also drops the cluster's uninformed
+    members.  The informed nodes are written back to front, uninformed
+    and out_times before returning.
+    """
+    n_draws = draws.shape[0]
+    rest = frontier.tolist()
+    dark = set(cluster[uninformed[cluster]].tolist())
+    nodes, times = [], []
+    while rest:
+        size = len(rest)
+        if pos + size > n_draws:
+            break
+        delays = draws[pos : pos + size]
+        pos += size
+        j = delays.argmin()  # first occurrence: earliest node id wins ties
+        t += delays.item(j)
+        node = rest.pop(j)
+        nodes.append(node)
+        times.append(t)
+        if node in dark:
+            dark.discard(node)
+            rest = [m for m in rest if m not in dark]
+            nodes.extend(dark)
+            times.extend([t] * len(dark))
+            dark = ()
+    done = np.fromiter(nodes, dtype=np.intp, count=len(nodes))
+    front[done] = False
+    uninformed[done] = False
+    out_times[done] = np.array(times)
+    n_informed += done.size
+    return (STATUS_REFILL if rest else STATUS_OK, pos, n_informed, t)
 
 
 def unit_exponential_buffer(rng: np.random.Generator, length: int) -> np.ndarray:

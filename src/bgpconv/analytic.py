@@ -337,6 +337,14 @@ def core_convergence_time(spec: TieredCore) -> CoreEstimate:
             "p12 = 0 leaves tier-2 ASes without transit; the transit branch never completes"
         )
     lam = spec.lam
+    # the first-provider delay and the tier-1 -> tier-2 mesh both run at
+    # the transit rate n1 * p12 * lam, each product in its own order
+    for rate in (lam * spec.p12 * spec.n1, spec.n1 * spec.p12 * lam):
+        if rate == 0.0 or 1.0 / rate == math.inf:
+            raise DomainError(
+                f"transit rate n1 * p12 * lam has no finite reciprocal: "
+                f"lam {lam}, p12 {spec.p12}, n1 {spec.n1}"
+            )
     m_peer = _round_half_up(spec.n2 * spec.p22)
     m_rest = _round_half_up(spec.n2 * (1.0 - spec.p22))
 

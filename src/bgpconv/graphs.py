@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import IO, Iterable, Union
 
 import numpy as np
@@ -104,52 +105,74 @@ def from_edges(
     """Build a Graph from undirected edge endpoint arrays.
 
     The one check of the graph invariants: every Graph the package
-    builds comes from here.  Rejects self loops, duplicate edges,
-    out-of-range endpoints, misaligned kinds, and cluster nodes that are
-    out of range, repeated, or (on tiered graphs) outside tier-1, rather
-    than repairing them; generators are responsible for producing simple
-    edge sets.
+    builds comes from here.  Rejects self loops, out-of-range endpoints
+    and duplicate edges (in that order), then misaligned roles or kinds,
+    tiered roles outside tier-1 and tier-2, kinds that disagree with the
+    roles, and cluster nodes that are out of range, repeated, or (on
+    tiered graphs) outside tier-1, rather than repairing them;
+    generators are responsible for producing simple edge sets.
+
+    The half-edges are the keys src * N + dst of (u, v) and (v, u),
+    sorted in place; src and dst are read back from the sorted keys.
+    Passing roles or kinds makes the graph tiered.  Its half-edge kinds
+    come from the roles, kind = role_u + role_v - 1: peer11 between
+    tier-1 nodes, transit12 across, peer22 between tier-2 nodes.  Kinds
+    passed in must agree with them.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.shape != v.shape:
         raise DomainError("edge endpoint arrays differ in length")
-    if np.any(u == v):
+    if (u == v).any():
         raise DomainError("self loops are not allowed")
-    if u.size and (
-        int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= node_count
-    ):
+    # viewed as unsigned, a negative endpoint is out of range too
+    if u.size and max(u.view(np.uint64).max(), v.view(np.uint64).max()) >= node_count:
         raise DomainError("edge endpoint out of range")
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    # half-edges in (src, dst) order, sorted by the one key src * N + dst
-    key = src * np.int64(node_count) + dst
-    order = key.argsort()
-    key = key[order]
+    n = np.int64(node_count)
+    m = u.size
+    key = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=key[:m])
+    key[:m] += v
+    np.multiply(v, n, out=key[m:])
+    key[m:] += u
+    key.sort()
     # a repeated edge, in either orientation, repeats both its half-edges,
     # and sorting puts equal keys side by side
-    if np.any(key[1:] == key[:-1]):
+    if (key[1:] == key[:-1]).any():
         raise DomainError("duplicate edges are not allowed")
-    src = src[order]
-    dst = dst[order]
-    half_kinds = None
+    tiered = roles is not None or kinds is not None
+    if roles is None:
+        roles = np.full(node_count, ROLE_FLAT, dtype=np.uint8)
+    roles = np.asarray(roles, dtype=np.uint8)
+    if roles.shape != (node_count,):
+        raise DomainError("roles array misaligned with nodes")
     if kinds is not None:
         kinds = np.asarray(kinds, dtype=np.uint8)
         if kinds.shape != u.shape:
             raise DomainError("kinds array misaligned with edges")
-        half_kinds = np.concatenate([kinds, kinds])[order]
-    counts = np.bincount(src, minlength=node_count)
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    if roles is None:
-        roles = np.full(node_count, ROLE_FLAT, dtype=np.uint8)
-    roles = np.asarray(roles, dtype=np.uint8)
-    cluster_arr = np.array(sorted(int(c) for c in cluster), dtype=np.int64)
-    if cluster_arr.size and (cluster_arr[0] < 0 or cluster_arr[-1] >= node_count):
+    if tiered:
+        # tier-1 -> 0 and tier-2 -> 1; any other role wraps past 1
+        tier = roles - np.uint8(1)
+        if (tier > 1).any():
+            raise DomainError("tiered graph nodes must be tier-1 or tier-2")
+        if kinds is not None and (tier.take(u) + tier.take(v) != kinds - np.uint8(1)).any():
+            raise DomainError("edge kinds disagree with the endpoint roles")
+    src = key // n
+    dst = key  # the keys are not needed past here
+    dst -= src * n
+    indptr = np.searchsorted(src, np.arange(node_count + 1, dtype=np.int64))
+    half_kinds = None
+    if tiered:
+        half_kinds = roles.take(src)
+        half_kinds += roles.take(dst)
+        half_kinds -= np.uint8(1)
+    members = sorted(int(c) for c in cluster)
+    if members and (members[0] < 0 or members[-1] >= node_count):
         raise DomainError("cluster node out of range")
-    if np.any(np.diff(cluster_arr) == 0):
+    if len(set(members)) < len(members):
         raise DomainError("repeated cluster node")
-    if kinds is not None and np.any(roles[cluster_arr] != ROLE_TIER1):
+    cluster_arr = np.array(members, dtype=np.int64)
+    if tiered and (roles.take(cluster_arr) != ROLE_TIER1).any():
         raise DomainError("tiered cluster must lie in tier-1")
     return Graph(
         node_count=node_count,
@@ -179,25 +202,52 @@ def gen_full_mesh(params: ModelParams, seed: SeedLike) -> Graph:
 PAIR_BLOCK = 1 << 14
 
 
-def _bernoulli_pairs(
-    rng: np.random.Generator, n: int, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints (u, v), u < v, of the n-node pairs hit with probability p.
+def _triangle(first: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the pairs u < v of nodes [first, first + m): each
+    row's u, its first v and its length."""
+    u = np.arange(first, first + m - 1, dtype=np.int64)
+    return u, u + 1, first + m - 1 - u
 
-    One uniform per pair in row-major pair order ((0, 1), (0, 2), ...,
-    (1, 2), ...), drawn PAIR_BLOCK at a time; consecutive draws from one
-    Generator concatenate, so the block size never changes the pairs.
+
+def _bernoulli_pairs(
+    rng: np.random.Generator, layers: list[tuple[float, tuple]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (u, v) of the pairs hit in each layer, layer by layer.
+
+    A layer is (p, rows), with rows its (u, first v, length) arrays; its
+    pairs are ((u, v0), (u, v0 + 1), ...) row after row.  One uniform
+    per pair, every layer's pairs in turn as consecutive segments of one
+    stream, drawn PAIR_BLOCK at a time; each segment is compared against
+    its own p.  Consecutive draws from one Generator concatenate, so the
+    block size never changes the pairs.  All hits map to endpoints
+    through one table of row starts: the hits are sorted, so one search
+    of the row starts among them counts each row's hits.
     """
-    # row_start[u] is the index of pair (u, u + 1); row_start[n - 1] is
+    row_u = np.concatenate([rows[0] for _, rows in layers])
+    # row_start[r] is the index of row r's first pair; the last entry is
     # the pair count
-    row_start = np.zeros(n, dtype=np.int64)
-    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
-    total = int(row_start[-1])
-    hits = [np.flatnonzero(rng.random(min(PAIR_BLOCK, total - lo)) < p) + lo
-            for lo in range(0, total, PAIR_BLOCK)]
-    hit = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
-    row = np.searchsorted(row_start, hit, side="right") - 1
-    return row, hit - row_start[row] + row + 1
+    row_start = np.zeros(row_u.size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([rows[2] for _, rows in layers]), out=row_start[1:])
+    bounds = [row_start.item(r)
+              for r in accumulate([0] + [rows[0].size for _, rows in layers])]
+    hits = [np.empty(0, dtype=np.int64)]  # concatenate needs one array when there are no pairs
+    for lo in range(0, bounds[-1], PAIR_BLOCK):
+        block = rng.random(min(PAIR_BLOCK, bounds[-1] - lo))
+        hi = lo + block.size
+        is_hit = np.empty(block.size, dtype=np.bool_)
+        for i, (p, _) in enumerate(layers):
+            a, b = max(lo, bounds[i]) - lo, min(hi, bounds[i + 1]) - lo
+            if a < b:
+                np.less(block[a:b], p, out=is_hit[a:b])
+        hit = is_hit.nonzero()[0]
+        hit += lo
+        hits.append(hit)
+    hit = np.concatenate(hits)
+    first_hit = np.searchsorted(hit, row_start)
+    row_hits = first_hit[1:] - first_hit[:-1]
+    # a hit's v is its index plus its row's first v minus its row's start
+    row_off = np.concatenate([rows[1] for _, rows in layers]) - row_start[:-1]
+    return np.repeat(row_u, row_hits), hit + np.repeat(row_off, row_hits)
 
 
 def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
@@ -207,7 +257,7 @@ def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
         raise DomainError(f"p_edge must be in [0, 1], got {p_edge}")
     rng = np.random.default_rng(seed)
     n = params.n_total
-    u, v = _bernoulli_pairs(rng, n, p_edge)
+    u, v = _bernoulli_pairs(rng, [(p_edge, _triangle(0, n))])
     cluster = _sample_cluster(rng, n, params.k_cluster)
     return from_edges(n, u, v, cluster=cluster)
 
@@ -234,7 +284,13 @@ def gen_power_law_degrees(
     rng = np.random.default_rng(seed)
     support = np.arange(d_min, d_max + 1, dtype=np.float64)
     pmf = support ** (-float(exponent))
-    pmf /= pmf.sum()
+    total = pmf.sum()
+    if not total > 0.0:
+        raise DomainError(
+            f"exponent {exponent} leaves no mass on [{d_min}, {d_max}]: "
+            f"every d ** -exponent underflows to 0"
+        )
+    pmf /= total
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0  # guard against cumulative rounding
     draws = rng.random(n)
@@ -289,41 +345,24 @@ def gen_tiered_core(spec: TieredCore, seed: SeedLike) -> Graph:
     """Two-tier core graph with labeled layers.
 
     Nodes [0, n1) are tier-1, [n1, n1+n2) are tier-2.  Three
-    independent Bernoulli layers: tier-1 peering (p11), transit (p12),
-    tier-2 peering (p22).  The cluster is k1 nodes uniform over tier-1.
+    independent Bernoulli layers, drawn in this order as segments of one
+    uniform stream (see _bernoulli_pairs): tier-1 peering (p11, the
+    tier-1 triangle), transit (p12, each tier-1 node's row over all of
+    tier-2), tier-2 peering (p22, the tier-2 triangle).  The cluster is
+    k1 nodes uniform over tier-1.
     """
     rng = np.random.default_rng(seed)
     n1, n2 = spec.n1, spec.n2
-    n = n1 + n2
-
-    e11_u, e11_v = _bernoulli_pairs(rng, n1, spec.p11)
-
-    m12 = rng.random((n1, n2)) < spec.p12
-    t1, t2 = np.nonzero(m12)
-    e12_u = t1.astype(np.int64)
-    e12_v = t2.astype(np.int64) + n1
-
-    e22_u, e22_v = _bernoulli_pairs(rng, n2, spec.p22)
-    e22_u += n1
-    e22_v += n1
-
-    u = np.concatenate([e11_u, e12_u, e22_u])
-    v = np.concatenate([e11_v, e12_v, e22_v])
-    kinds = np.concatenate(
-        [
-            np.full(e11_u.size, KIND_PEER11, dtype=np.uint8),
-            np.full(e12_u.size, KIND_TRANSIT12, dtype=np.uint8),
-            np.full(e22_u.size, KIND_PEER22, dtype=np.uint8),
-        ]
-    )
-    roles = np.concatenate(
-        [
-            np.full(n1, ROLE_TIER1, dtype=np.uint8),
-            np.full(n2, ROLE_TIER2, dtype=np.uint8),
-        ]
-    )
+    tier1 = np.arange(n1, dtype=np.int64)
+    u, v = _bernoulli_pairs(rng, [
+        (spec.p11, _triangle(0, n1)),
+        (spec.p12, (tier1, np.full(n1, n1, dtype=np.int64), np.full(n1, n2, dtype=np.int64))),
+        (spec.p22, _triangle(n1, n2)),
+    ])
+    roles = np.full(n1 + n2, ROLE_TIER2, dtype=np.uint8)
+    roles[:n1] = ROLE_TIER1
     cluster = _sample_cluster(rng, n1, spec.k1)
-    return from_edges(n, u, v, kinds=kinds, roles=roles, cluster=cluster)
+    return from_edges(n1 + n2, u, v, roles=roles, cluster=cluster)
 
 
 def gen_graph(spec: TopologySpec, seed: SeedLike) -> Graph:
@@ -355,7 +394,6 @@ def forwarder_mask(graph: Graph, announcer: int) -> np.ndarray:
     if not graph.is_tiered:
         return np.ones(graph.node_count, dtype=np.bool_)
     mask = graph.roles == ROLE_TIER1
-    mask = mask.copy()
     mask[announcer] = True
     return mask
 
@@ -388,29 +426,33 @@ def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
     The SDN cluster acts as a super-node: reaching any member reaches
     all members.  Only forwarders extend paths; a non-forwarding node is
     reachable when some forwarder neighbors it (one final hop).  Runs a
-    level-synchronous breadth-first search over the CSR arrays.
+    level-synchronous breadth-first search over the CSR arrays, and
+    stops as soon as every node is seen.
     """
     announcer = check_in_range(graph, announcer)
     forwards = forwarder_mask(graph, announcer)
     cluster_mask = graph.cluster_mask
-    seen = np.zeros(graph.node_count, dtype=np.bool_)
-    seen[announcer] = True
+    unseen = np.ones(graph.node_count, dtype=np.bool_)
+    unseen[announcer] = False
+    left = graph.node_count - 1
     # new holds the next level; its bits of earlier levels are all seen,
-    # so masking by ~seen clears them too
+    # so masking by unseen clears them too
     new = np.zeros(graph.node_count, dtype=np.bool_)
     level = np.array([announcer], dtype=np.int64)
     cluster_merged = False
-    while level.size:
+    while left and level.size:
         if not cluster_merged and cluster_mask[level].any():
             cluster_merged = True
-            members = graph.cluster[~seen[graph.cluster]]
-            seen[members] = True
+            members = graph.cluster[unseen[graph.cluster]]
+            unseen[members] = False
+            left -= members.size
             level = np.concatenate((level, members))
         new[neighborhood(graph, level[forwards[level]])] = True
-        new &= ~seen
-        seen |= new
+        new &= unseen
+        unseen ^= new
         level = new.nonzero()[0]
-    return seen
+        left -= level.size
+    return ~unseen
 
 
 @dataclass(frozen=True, eq=False)

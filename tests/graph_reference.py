@@ -2,14 +2,19 @@
 depth-first reachability and a per-node structure check, the reference
 for the tests.
 
-The package draws Poisson and tiered peering pair uniforms in
-fixed-size blocks, maps pair hits back to endpoints through row start
-offsets, and finds reachable nodes by a level-synchronous breadth-first
-search over the CSR arrays.  The functions here do the same work one row, one index table
-and one node at a time, so the equivalence tests compare two
-implementations: graphs bit for bit, reachable sets exactly.  The
-package checks a graph's invariants once, vectorized, in from_edges;
-check_graph re-checks them on the built CSR arrays one node at a time.
+The package draws every pair layer of a graph (the Poisson triangle;
+the tiered p11 triangle, p12 transit rectangle and p22 triangle) as
+consecutive segments of one uniform stream in fixed-size blocks, maps
+all hits to endpoints through one table of row starts, reads the CSR
+arrays back from half-edge keys sorted in place, takes each half-edge's
+kind from its endpoints' roles, and finds reachable nodes by a
+level-synchronous breadth-first search that stops once every node is
+seen.  The functions here do the same work one row, one index table or
+one 2-D draw per layer, and one node at a time, so the equivalence
+tests compare two implementations: graphs bit for bit, reachable sets
+exactly.  The package checks a graph's invariants once, vectorized, in
+from_edges; check_graph re-checks them on the built CSR arrays one node
+at a time, kinds against roles included.
 """
 
 from __future__ import annotations
@@ -142,5 +147,13 @@ def check_graph(graph: Graph) -> None:
     if graph.is_tiered:
         if graph.kinds.shape != graph.indices.shape:
             raise AssertionError("kinds misaligned with indices")
+        kind_of = {(ROLE_TIER1, ROLE_TIER1): KIND_PEER11, (ROLE_TIER2, ROLE_TIER2): KIND_PEER22,
+                   (ROLE_TIER1, ROLE_TIER2): KIND_TRANSIT12,
+                   (ROLE_TIER2, ROLE_TIER1): KIND_TRANSIT12}
+        for u in range(n):
+            start, stop = graph.indptr[u], graph.indptr[u + 1]
+            for v, kind in zip(graph.indices[start:stop], graph.kinds[start:stop]):
+                if kind_of.get((int(graph.roles[u]), int(graph.roles[v]))) != kind:
+                    raise AssertionError(f"kind {kind} of edge {u}-{v} disagrees with roles")
         if np.any(graph.roles[graph.cluster] != ROLE_TIER1):
             raise AssertionError("tiered cluster must lie in tier-1")

@@ -52,6 +52,7 @@ def test_criterion_1_hit_distribution_sums(capfd):
     assert elapsed < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_2_full_mesh_agreement(capfd):
     t0 = time.perf_counter()
     small = bc.convergence_time(FullMesh(ModelParams(4, 2, 1.0))).expected_time
@@ -197,6 +198,7 @@ def test_criterion_6_trace_fuzz(capfd):
     assert elapsed < 60
 
 
+@pytest.mark.slow
 def test_criterion_7_case_study_grid(capfd):
     t0 = time.perf_counter()
     template = TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0)

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,33 @@ def test_cli_analytic_rejects_non_finite_inputs(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("lam", ["1e-30", "1e-10"])
+def test_cli_tiered_transit_rate_underflow_names_the_inputs(lam, capsys):
+    # lam * p12 * n1 is 0 at lam = 1e-30 and the subnormal 2e-309, whose
+    # reciprocal overflows, at lam = 1e-10
+    assert run_cli("analytic", "--family", "tiered", "--p12", "1e-300", "--lam", lam) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: transit rate n1 * p12 * lam has no finite reciprocal: "
+        f"lam {lam}, p12 1e-300, n1 20\n"
+    )
+
+
+@pytest.mark.parametrize("exponent", ["inf", "1e308"])
+def test_cli_power_law_exponent_that_underflows_exits_2(exponent, capsys):
+    # every d ** -exponent on [2, 10] underflows to 0: no pmf to normalize
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("analytic", "--family", "config-model", "--n", "50",
+                       "--d-min", "2", "--d-max", "10", "--exponent", exponent,
+                       "--degenerate", "clamp") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exponent ")
+    assert "underflows" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -478,6 +478,90 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, np.array([0]), np.array([5]), cluster=np.array([0]))
 
 
+def tiered_path():
+    """from_edges arguments for the path 0 - 1 - 2 - 3 with tier-1 {0, 1}:
+    one edge of each kind."""
+    return dict(node_count=4, u=np.array([0, 1, 2]), v=np.array([1, 2, 3]),
+                kinds=np.array([KIND_PEER11, KIND_TRANSIT12, KIND_PEER22], dtype=np.uint8),
+                roles=np.array([ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, ROLE_TIER2],
+                               dtype=np.uint8),
+                cluster=[0])
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        [KIND_PEER22, KIND_TRANSIT12, KIND_PEER22],
+        [KIND_PEER11, KIND_PEER11, KIND_PEER22],
+        [KIND_PEER11, KIND_TRANSIT12, KIND_TRANSIT12],
+        [KIND_PEER11, KIND_TRANSIT12, 0],
+        [KIND_PEER11, KIND_TRANSIT12, 255],
+    ],
+    ids=["peer22-on-tier-1-pair", "peer11-across-tiers", "transit-within-tier-2",
+         "kind-0", "kind-255"],
+)
+def test_from_edges_rejects_kinds_that_disagree_with_the_roles(kinds):
+    case = tiered_path()
+    case["kinds"] = np.array(kinds, dtype=np.uint8)
+    with pytest.raises(DomainError, match="edge kinds disagree with the endpoint roles"):
+        from_edges(**case)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(roles=[ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, 0]),
+        dict(roles=[ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, 3]),
+        dict(roles=None, cluster=[]),
+        dict(roles=[ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, 0], kinds=None),
+    ],
+    ids=["flat-endpoint", "role-3-endpoint", "kinds-without-roles", "roles-without-kinds"],
+)
+def test_from_edges_rejects_tiered_roles_outside_the_tiers(change):
+    # kinds passed with roles=None meet the flat roles of an untiered graph
+    case = tiered_path()
+    case.update(change)
+    if case["roles"] is not None:
+        case["roles"] = np.array(case["roles"], dtype=np.uint8)
+    with pytest.raises(DomainError, match="tiered graph nodes must be tier-1 or tier-2"):
+        from_edges(**case)
+
+
+def test_from_edges_takes_half_edge_kinds_from_the_roles():
+    with_kinds = from_edges(**tiered_path())
+    assert with_kinds.kinds.tolist() == [KIND_PEER11, KIND_PEER11, KIND_TRANSIT12,
+                                         KIND_TRANSIT12, KIND_PEER22, KIND_PEER22]
+    # roles alone make the graph tiered, with the same kinds
+    without = from_edges(**{**tiered_path(), "kinds": None})
+    assert without.is_tiered
+    np.testing.assert_array_equal(without.kinds, with_kinds.kinds)
+
+
+@pytest.mark.parametrize(
+    "u,v,message",
+    [
+        ([0, 1, 2, 3], [1, 2, 3, 3], "self loops"),
+        ([0, 1, 2, 0], [1, 2, 3, 4], "edge endpoint out of range"),
+        ([0, 1, 2, -1], [1, 2, 3, 0], "edge endpoint out of range"),
+        ([0, 1, 2, 2], [1, 2, 3, 1], "duplicate edges"),
+    ],
+)
+def test_from_edges_checks_the_edge_set_before_the_kinds(u, v, message):
+    # the added edge is labeled peer11, which its endpoints' roles contradict
+    case = tiered_path()
+    case.update(u=np.array(u), v=np.array(v),
+                kinds=np.append(case["kinds"], KIND_PEER11).astype(np.uint8))
+    with pytest.raises(DomainError, match=message):
+        from_edges(**case)
+
+
+def test_from_edges_rejects_roles_of_the_wrong_length():
+    case = tiered_path()
+    case["roles"] = case["roles"][:3]
+    with pytest.raises(DomainError, match="roles array misaligned with nodes"):
+        from_edges(**case)
+
+
 @st.composite
 def edge_sets(draw, tiered=None):
     """from_edges arguments for a random simple graph, flat or tiered.
@@ -536,6 +620,8 @@ DEFECTS = {
     "repeated-cluster-node": "repeated cluster node",
     "tiered-cluster-outside-tier-1": "must lie in tier-1",
     "misaligned-kinds": "misaligned",
+    "kinds-disagree-with-roles": "edge kinds disagree with the endpoint roles",
+    "tiered-role-outside-the-tiers": "tiered graph nodes must be tier-1 or tier-2",
 }
 
 
@@ -543,7 +629,9 @@ DEFECTS = {
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_from_edges_rejects_each_malformed_edge_set(defect, data):
-    tiered = True if defect in ("tiered-cluster-outside-tier-1", "misaligned-kinds") else None
+    tiered = True if defect in ("tiered-cluster-outside-tier-1", "misaligned-kinds",
+                                "kinds-disagree-with-roles",
+                                "tiered-role-outside-the-tiers") else None
     case = data.draw(edge_sets(tiered=tiered))
     n = case["node_count"]
     outside = st.one_of(st.integers(-3, -1), st.integers(n, n + 3))
@@ -566,6 +654,18 @@ def test_from_edges_rejects_each_malformed_edge_set(defect, data):
     elif defect == "tiered-cluster-outside-tier-1":
         tier2 = np.flatnonzero(case["roles"] == ROLE_TIER2).tolist()
         case["cluster"] = case["cluster"] + [data.draw(st.sampled_from(tier2))]
+    elif defect == "tiered-role-outside-the-tiers":
+        roles = case["roles"].copy()
+        roles[data.draw(st.integers(0, n - 1))] = data.draw(
+            st.sampled_from([0, 3, 128, 255]))
+        case["roles"] = roles
+    elif defect == "kinds-disagree-with-roles":
+        assume(case["u"].size)
+        i = data.draw(st.integers(0, case["u"].size - 1))
+        kinds = case["kinds"].copy()
+        kinds[i] = data.draw(st.sampled_from(
+            [k for k in (0, KIND_PEER11, KIND_TRANSIT12, KIND_PEER22, 9) if k != kinds[i]]))
+        case["kinds"] = kinds
     else:
         kinds = case["kinds"]
         longer = data.draw(st.booleans()) or not kinds.size
