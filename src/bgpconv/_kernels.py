@@ -10,11 +10,11 @@ Exp(lambda * frontier_size).
 
 Two interchangeable backends produce bit-identical results: a compiled
 kernel (numba, the default whenever numba imports) and a vectorized
-numpy fallback.  Identity holds because both consume the same
-unit-exponential stream in ascending node-id order within each step and
-apply the same floating-point operations to each entry: each draw is
-multiplied by 1/lambda once, when its chunk is drawn, and each event
-time is a running sum of the winning delays.  Selection is
+numpy fallback.  Identity holds because both consume the same stream of
+uniforms u in ascending node-id order within each step, give each draw
+the same delay, the IEEE value of -log1p(-u) * (1/lambda) computed by
+_exponentials (the product skipped when 1/lambda is 1), take the same
+winner, and sum the winning delays in the same order.  Selection is
 via the BGPCONV_BACKEND environment variable ("numba", "numpy", or
 "auto") or an explicit argument taking the same names.
 
@@ -27,30 +27,59 @@ frontier of its neighbors exactly: an informed neighbor reads False,
 which it already was.  Every SDN cluster member forwards (flat graphs
 forward everywhere; a tiered cluster lies in tier-1), so the merged
 cluster's neighborhood is one precomputed gather.  A kernel takes
-(front, uninformed, n_informed, t) plus a buffer of draws already
-scaled by 1/lambda, runs only the event loop, and returns (status, pos,
-n_informed, t).
+(front, uninformed, n_informed, t), a buffer of draws and out_times,
+runs only the event loop, and returns (status, pos, n_informed, t).
+The numba kernel reads delays, converted a chunk at a time; the numpy
+kernel reads the raw uniforms and takes 1/lambda as a last argument.
 STATUS_OK: every node is informed.  STATUS_STUCK: the frontier is empty.
 STATUS_REFILL: the buffer ran short; pos is where the unfinished step
 began, and the state is as it was there.
+
+Winners on uniforms (numpy kernel): a step keeps only its argmin, so the
+kernel picks it on the uniforms, records the winner's node and uniform,
+and before every return converts the recorded winners in one batch (the
+same ufuncs, on a contiguous array) and writes their times by one
+sequential cumsum seeded with t.  The uniforms' first-occurrence argmin
+is the delays' whenever the delay map d is strictly increasing from the
+slice minimum u_j to every larger point of the grid k * 2**-53 that
+rng.random draws from.  Let g(u) = -ln(1 - u) and e(u) its value from
+log1p, which errs by less than one ulp (faithful rounding; the tests pin
+this), and let u_j < 7/32, so g(u_j) < 0.247 and e(u_j) < 1/4.  For a
+grid point v > u_j, g(v) - g(u_j) >= v - u_j >= 2**-53 because g' >= 1.
+If g(v) < 1/4 each rounding errs by less than 2**-55, so e(v) - e(u_j) >
+2**-54 >= 2 ulp(e(u_j)); otherwise e(v) >= 1/4 and the gap is larger.
+With c = 1/lambda, c times two ulps of e(u_j) is at least one ulp of
+c * e(u_j), and more than 1.5 where c * e(u_j) lies within half an ulp
+below a power of two, so rounding the products to nearest keeps them
+strictly ordered while they are normal.  Every nonzero e is at least
+2**-53, so c >= 2**-969 keeps every nonzero product at least 2**-1022.
+No upper bound on c is needed: d(u_j) <= c/4 is finite, and a product
+that overflows is inf, which is larger.  (From u = 1 - exp(-1/4), about
+0.2212, e(u) >= 1/4, where a log1p that is only faithful can leave two
+adjacent grid points one ulp apart, and a c with a mantissa near 2 could
+round their products to one value; so the bound is 7/32, below that.)
+A step whose slice holds two or more draws with u_j >= 7/32, and every
+such step when c < 2**-969, therefore evaluates the slice's delays and
+takes their argmin, as the numba kernel does.
 
 Saturated tail (numpy kernel): once a step finds the frontier holding
 every uninformed node, no later step can add a frontier node, since
 informing a node only removes it (and, on a cluster hit, the cluster's
 other members).  From there the frontier is the ascending list of the
 remaining uninformed nodes, so the kernel finishes on a Python list:
-each step is one slice of draws, one argmin and one list pop.  The
-steps take the same draws in the same order, the same first-occurrence
-argmin and the same running sum as stepping the arrays, so times and
-draws used are bit-identical.  The informed nodes are written back to
-front, uninformed and out_times before the kernel returns, so the state
-at return is as above on every status.
+each step is one slice of draws, one winner and one list pop.  The
+steps take the same draws in the same order and the same winners as
+stepping the arrays, so times and draws used are bit-identical.  The
+informed nodes are written back to front, uninformed and out_times
+before the kernel returns, so the state at return is as above on every
+status.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from functools import partial
 
 import numpy as np
 
@@ -137,30 +166,47 @@ else:  # pragma: no cover - exercised only without numba installed
     _scalar_kernel_jit = None
 
 
+# _vector_kernel picks a step's winner on its uniforms when the slice
+# minimum is below _TIE_FREE_BELOW and 1/lambda is at least
+# _TIE_FREE_SCALE (module docstring); otherwise it compares the delays
+_TIE_FREE_BELOW = 7 / 32
+_TIE_FREE_SCALE = 2.0**-969
+
+
 def _vector_kernel(
     indptr, indices, forwards, is_cluster, cluster, cluster_nbrs,
-    front, uninformed, n_informed, t, draws, out_times,
+    front, uninformed, n_informed, t, uniforms, out_times, inv_lam,
 ):
     n = front.shape[0]
-    n_draws = draws.shape[0]
-    pos = 0
+    n_draws = uniforms.shape[0]
+    # 0.0: no uniform is below it, so every step compares delays
+    tie_free = _TIE_FREE_BELOW if inv_lam >= _TIE_FREE_SCALE else 0.0
+    nodes, wins, merges = [], [], []
+    status, pos = STATUS_OK, 0
     while n_informed < n:
         frontier = front.nonzero()[0]
         size = frontier.size
         if size == 0:
-            return (STATUS_STUCK, pos, n_informed, t)
+            status = STATUS_STUCK
+            break
         if size == n - n_informed:
-            return _saturated_tail(
-                frontier, cluster, front, uninformed, n_informed, t, draws, pos, out_times)
+            status, pos, n_informed = _saturated_tail(
+                frontier, cluster, front, uninformed, n_informed, uniforms, pos,
+                inv_lam, tie_free, nodes, wins, merges)
+            break
         if pos + size > n_draws:
-            return (STATUS_REFILL, pos, n_informed, t)
-        delays = draws[pos : pos + size]
+            status = STATUS_REFILL
+            break
+        u = uniforms[pos : pos + size]
         pos += size
-        j = delays.argmin()  # first occurrence: earliest node id wins ties
-        t += delays.item(j)
+        j = u.argmin()  # first occurrence: earliest node id wins ties
+        uj = u.item(j)
+        if uj >= tie_free and size > 1:
+            j, uj = _delay_winner(u, inv_lam)
+        wins.append(uj)
         node = frontier.item(j)
+        nodes.append(node)
         front[node] = uninformed[node] = False
-        out_times[node] = t
         n_informed += 1
         if forwards[node]:
             nb = indices[indptr[node] : indptr[node + 1]]
@@ -168,51 +214,93 @@ def _vector_kernel(
         if is_cluster[node]:
             new = cluster[uninformed[cluster]]
             front[new] = uninformed[new] = False
-            out_times[new] = t
+            merges.append((len(wins) - 1, new))
             n_informed += new.size
             front[cluster_nbrs] = uninformed[cluster_nbrs]
-    return (STATUS_OK, pos, n_informed, t)
+    t = _write_times(nodes, wins, merges, t, inv_lam, out_times)
+    return (status, pos, n_informed, t)
 
 
-def _saturated_tail(frontier, cluster, front, uninformed, n_informed, t, draws, pos,
-                    out_times):
+def _delay_winner(u, inv_lam):
+    """Index and uniform of the first-occurrence minimum delay of the
+    uniforms u, found by comparing the delays themselves."""
+    j = _exponentials(u.copy(), inv_lam).argmin()  # u stays uniforms
+    return j, u.item(j)
+
+
+def _write_times(nodes, wins, merges, t, inv_lam, out_times):
+    """Write the event times of winners recorded since t into out_times.
+
+    wins holds the winners' uniforms in step order; a cluster hit adds
+    (the hitting winner's index in wins, the members it informed) to
+    merges.  Returns the time of the last event.
+    """
+    if not wins:
+        return t
+    times = _exponentials(np.fromiter(wins, np.float64, len(wins)), inv_lam)
+    times[0] += t
+    np.add.accumulate(times, out=times)  # sequential: t += delay, winner by winner
+    out_times.put(nodes, times)
+    for k, members in merges:
+        out_times[members] = times[k]
+    return times.item(-1)
+
+
+def _saturated_tail(frontier, cluster, front, uninformed, n_informed, uniforms, pos,
+                    inv_lam, tie_free, nodes, wins, merges):
     """_vector_kernel's steps from one whose frontier holds every
     uninformed node, to the end of the run or of the draws.
 
     The frontier is then the ascending list of uninformed nodes, and an
     informed node leaves it without adding any (all are on it already).
-    So each step is one slice of draws, one argmin over it and one pop
-    from that list; a cluster hit also drops the cluster's uninformed
-    members.  The informed nodes are written back to front, uninformed
-    and out_times before returning.
+    So each step is one slice of uniforms, one winner and one pop from
+    that list; a cluster hit also drops the cluster's uninformed members.
+    Winners go on nodes, wins and merges as in the kernel, and the
+    informed nodes are written back to front and uninformed before
+    returning (status, pos, n_informed).
     """
-    n_draws = draws.shape[0]
+    n_draws = uniforms.shape[0]
+    first = len(nodes)
     rest = frontier.tolist()
     dark = set(cluster[uninformed[cluster]].tolist())
-    nodes, times = [], []
+    merged = []
     while rest:
         size = len(rest)
         if pos + size > n_draws:
             break
-        delays = draws[pos : pos + size]
+        u = uniforms[pos : pos + size]
         pos += size
-        j = delays.argmin()  # first occurrence: earliest node id wins ties
-        t += delays.item(j)
+        j = u.argmin()  # first occurrence: earliest node id wins ties
+        uj = u.item(j)
+        if uj >= tie_free and size > 1:
+            j, uj = _delay_winner(u, inv_lam)
+        wins.append(uj)
         node = rest.pop(j)
         nodes.append(node)
-        times.append(t)
         if node in dark:
             dark.discard(node)
             rest = [m for m in rest if m not in dark]
-            nodes.extend(dark)
-            times.extend([t] * len(dark))
+            merged = list(dark)
+            merges.append((len(wins) - 1, merged))
             dark = ()
-    done = np.fromiter(nodes, dtype=np.intp, count=len(nodes))
-    front[done] = False
-    uninformed[done] = False
-    out_times[done] = np.array(times)
-    n_informed += done.size
-    return (STATUS_REFILL if rest else STATUS_OK, pos, n_informed, t)
+    done = np.array(nodes[first:] + merged, dtype=np.intp)
+    front[done] = uninformed[done] = False
+    return (STATUS_REFILL if rest else STATUS_OK, pos, n_informed + done.size)
+
+
+def _exponentials(u: np.ndarray, inv_lam: float) -> np.ndarray:
+    """Delays -log1p(-u) * inv_lam of the uniforms u, in place.
+
+    The one conversion of every draw, bulk or gathered: in place, so a
+    buffer costs one allocation, not three, and the product is skipped
+    when inv_lam is 1.
+    """
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    if inv_lam != 1.0:
+        u *= inv_lam
+    return u
 
 
 def unit_exponential_buffer(rng: np.random.Generator, length: int) -> np.ndarray:
@@ -221,11 +309,7 @@ def unit_exponential_buffer(rng: np.random.Generator, length: int) -> np.ndarray
     One uniform per sample, so consecutive calls on one Generator
     concatenate to exactly the samples of a single longer call.
     """
-    # in place: one buffer-sized allocation per call, not three
-    buf = rng.random(length)
-    np.negative(buf, out=buf)
-    np.log1p(buf, out=buf)
-    return np.negative(buf, out=buf)
+    return _exponentials(rng.random(length), 1.0)
 
 
 def _delays(rng: np.random.Generator, length: int, inv_lam: float) -> np.ndarray:
@@ -253,11 +337,15 @@ def run_dissemination(
     seed (int or SeedSequence) opens the run's one Generator.  The
     announcer, and its SDN cluster when it belongs to one, are informed
     at time 0 here; the backend kernel then runs the event loop on
-    delays drawn 8n at a time (unit exponentials times inv_lam), carrying
-    the informed count across calls.  A kernel that runs short
-    returns where its unfinished step began, and is called again on the
-    draws it had not used followed by the next chunk of the same stream,
-    so results never depend on the chunk size.
+    uniforms drawn 8n at a time, carrying the informed count across
+    calls.  The numba kernel gets each chunk as delays (unit exponentials
+    times inv_lam); the numpy kernel gets the uniforms and inv_lam, picks
+    each step's winner on the uniforms and converts only the winners,
+    comparing a step's delays instead where a tie in them is possible
+    (module docstring), so both give the same times.  A kernel that runs
+    short returns where its unfinished step began, and is called again on
+    the draws it had not used followed by the next chunk of the same
+    stream, so results never depend on the chunk size.
 
     backend is "numba", "numpy" or "auto"; None reads BGPCONV_BACKEND.
     An announcer outside [0, N), or an inv_lam that is not finite and
@@ -268,7 +356,6 @@ def run_dissemination(
     entries at -1.
     """
     name = active_backend() if backend is None else _backend_name(backend)
-    kern = _scalar_kernel_jit if name == "numba" else _vector_kernel
     if policy not in ("strict", "reachable-only"):
         raise DomainError(f"unknown policy {policy!r}; use strict or reachable-only")
     inv_lam = float(inv_lam)
@@ -294,18 +381,22 @@ def run_dissemination(
 
     rng = np.random.default_rng(seed)
     chunk = 8 * n
-    draws = _delays(rng, chunk, inv_lam)
+    if name == "numba":
+        kern, draw, rate = _scalar_kernel_jit, partial(_delays, rng, chunk, inv_lam), ()
+    else:
+        kern, draw, rate = _vector_kernel, partial(rng.random, chunk), (inv_lam,)
+    draws = draw()
     used, n_informed, t = 0, int(origin.size), 0.0
     while True:
         status, pos, n_informed, t = kern(
             graph.indptr, graph.indices, forwards, is_cluster, graph.cluster,
-            cluster_nbrs, front, uninformed, n_informed, t, draws, out_times,
+            cluster_nbrs, front, uninformed, n_informed, t, draws, out_times, *rate,
         )
         used += pos
         if status != STATUS_REFILL:
             break
         # a step needs at most n draws, so every refill completes one
-        draws = np.concatenate((draws[pos:], _delays(rng, chunk, inv_lam)))
+        draws = np.concatenate((draws[pos:], draw()))
     if status == STATUS_STUCK and policy == "strict":
         raise UnreachableTopologyError(
             f"announcement from node {announcer} cannot reach every node"

@@ -6,6 +6,7 @@ file runs the same checks at smaller n plus the structural and
 determinism properties that must hold run by run.
 """
 
+import decimal
 import hashlib
 import math
 
@@ -392,6 +393,70 @@ def test_backends_are_bit_identical(monkeypatch):
             assert used_sc == used_np
 
 
+def fuzzed_graph(rng, case):
+    """A random small tiered (odd case) or Poisson graph, often disconnected."""
+    if case % 2:
+        n1, n2 = int(rng.integers(1, 10)), int(rng.integers(1, 30))
+        p11, p12, p22 = rng.uniform(0.0, 0.6, 3)
+        return gg.gen_tiered_core(
+            TieredCore(n1, n2, int(rng.integers(1, n1 + 1)), p11, p12, p22), case)
+    n = int(rng.integers(1, 60))
+    return gg.gen_poisson(ModelParams(n, int(rng.integers(1, n + 1))),
+                          float(rng.uniform(0.0, 0.3)), case)
+
+
+# 1/lambda: plain rates; products that go subnormal (below 2**-969 the
+# numpy kernel compares delays on every step); and products near overflow.
+# A step whose every delay overflows is left out: the scalar kernel's
+# strict d < best never takes inf, so it reports that step as stuck
+FUZZ_INV_LAMS = (1.0, 1 / 0.7, 3.0, 0.99, 1e-300, 1e-310, 1e-320, 5e-324, 1e300,
+                 1e307)
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_kernel_matches_the_scalar_kernel_on_fuzzed_runs(monkeypatch):
+    # the numpy kernel picks winners on uniforms, the un-jitted scalar
+    # kernel on delays: times (exact bytes) and draws used must agree, and
+    # the steps that compare delays (slice minimum >= 7/32, or 1/lambda
+    # below 2**-969) must have run, some of them changing the winner
+    monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+    monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
+    guarded = {"bound": 0, "rate": 0, "moved": 0}
+    delay_winner = kernels._delay_winner
+
+    def watched_delay_winner(u, inv_lam):
+        j, uj = delay_winner(u, inv_lam)
+        assert u.size > 1
+        if inv_lam < kernels._TIE_FREE_SCALE:
+            guarded["rate"] += 1
+        else:
+            assert u.min() >= kernels._TIE_FREE_BELOW
+            guarded["bound"] += 1
+        guarded["moved"] += j != u.argmin()
+        return j, uj
+
+    monkeypatch.setattr(kernels, "_delay_winner", watched_delay_winner)
+    rng = np.random.default_rng(2024)
+    runs = 0
+    for case in range(60):
+        g = fuzzed_graph(rng, case)
+        ann = gg.draw_announcer(rng, g)
+        for inv_lam in FUZZ_INV_LAMS:
+            seed = int(rng.integers(2**32))
+            # inf delays are results here; a NaN still fails as "invalid"
+            with np.errstate(over="ignore"):
+                t_sc, used_sc = run_dissemination(g, ann, inv_lam, seed, backend="numba",
+                                                  policy="reachable-only")
+                t_np, used_np = run_dissemination(g, ann, inv_lam, seed, backend="numpy",
+                                                  policy="reachable-only")
+            assert t_np.tobytes() == t_sc.tobytes(), (case, inv_lam)
+            assert used_np == used_sc
+            runs += 1
+    assert runs == 600
+    assert guarded["bound"] >= 100 and guarded["rate"] >= 100, guarded
+    assert guarded["moved"] > 0, guarded
+
+
 def test_backend_env_selection(monkeypatch):
     monkeypatch.setenv("BGPCONV_BACKEND", "numpy")
     assert active_backend() == "numpy"
@@ -439,6 +504,74 @@ def test_unit_exponential_buffer_prefix_stable():
     long = unit_exponential_buffer(np.random.default_rng(123), 1000)
     np.testing.assert_array_equal(np.concatenate(chunks), long)
     assert (long > 0).all()
+
+
+def grid_window(center, half=64):
+    """The points k * 2**-53 (rng.random's grid) around center, ascending."""
+    k = round(center * 2.0**53)
+    return np.arange(max(k - half, 0), k + half, dtype=np.int64) * 2.0**-53
+
+
+def log1p_is_faithful(x):
+    """np.log1p(x) is one of the two doubles around the exact ln(1 + x)."""
+    got = float(np.log1p(np.array([x]))[0])
+    with decimal.localcontext(decimal.Context(prec=60)):
+        exact = (1 + decimal.Decimal(x)).ln()
+    near = float(exact)
+    if decimal.Decimal(near) == exact:
+        return got == near
+    side = math.inf if decimal.Decimal(near) < exact else -math.inf
+    return got in (near, math.nextafter(near, side))
+
+
+def test_delay_map_is_strictly_increasing_where_winners_are_picked_on_uniforms():
+    # the numpy kernel's winner on uniforms is the winner on delays where
+    # the delay map rises strictly from the slice minimum (module
+    # docstring of _kernels).  Check it on windows of the grid at each
+    # binade edge of u below 1/4, at each point where the unit delay
+    # crosses a binade edge, at the 7/32 bound and at 1/4, for plain
+    # rates and 0.99 (a mantissa near 2, the argument's tightest case),
+    # and check the faithful rounding of log1p the argument assumes
+    edges = [2.0**-k for k in range(3, 54)]
+    edges += [-math.expm1(-(2.0**-k)) for k in range(2, 54)]
+    edges += [kernels._TIE_FREE_BELOW, 0.25]
+    windows = [grid_window(c) for c in edges]
+    for inv_lam in (1.0, 1 / 0.7, 3.0, 0.99):
+        for u in windows:
+            d = kernels._exponentials(u.copy(), inv_lam)
+            assert (np.diff(d) > 0).all(), (inv_lam, u[0])
+    assert all(log1p_is_faithful(-x) for u in windows for x in u[::4].tolist())
+    # a product that overflows is inf, above the finite winner
+    u = np.array([0.9, 0.1, 0.95, 0.1])
+    with np.errstate(over="ignore"):
+        assert kernels._delay_winner(u, 1e308) == (1, 0.1)
+        assert kernels._exponentials(u.copy(), 1e308)[[0, 2]].tolist() == [math.inf] * 2
+
+
+def test_gathered_winners_convert_to_the_bulk_delays():
+    # the numpy kernel converts gathered winners, one slice or a batch at
+    # a time; each must equal the bulk buffer's value bit for bit, and
+    # the written times must be the running sum of those values
+    bulk = unit_exponential_buffer(np.random.default_rng(31), 200_000)
+    u = np.random.default_rng(31).random(200_000)
+    idx = np.random.default_rng(32).integers(0, u.size, 5_000)
+    np.testing.assert_array_equal(kernels._exponentials(u[idx], 1.0), bulk[idx])
+    for i in idx[:300].tolist():
+        assert kernels._exponentials(u[i : i + 7].copy(), 1.0)[0] == bulk[i]
+    for inv_lam in (1 / 0.7, 3.0, 1e-300):
+        scaled = kernels._delays(np.random.default_rng(31), 200_000, inv_lam)
+        np.testing.assert_array_equal(kernels._exponentials(u[idx], inv_lam), scaled[idx])
+    out = np.full(u.size, -1.0)
+    nodes = np.unique(idx)[:2_000]
+    wins = u[nodes].tolist()
+    t = kernels._write_times(nodes.tolist(), wins, [(6, [0])], 2.5, 1.0, out)
+    running = []
+    acc = 2.5
+    for i in nodes.tolist():
+        acc += bulk[i]
+        running.append(acc)
+    assert out[nodes].tolist() == running
+    assert out[0] == running[6] and t == running[-1]
 
 
 def test_buffer_regrows_when_a_run_consumes_past_the_estimate():
@@ -613,38 +746,37 @@ def frontier_from_csr(g, forwards, uninformed):
 def test_kernel_state_invariant_at_every_return():
     # each kernel, called directly on short draw buffers, returns REFILL
     # as well as OK and STUCK; at every return front is exactly the
-    # frontier and n_informed counts the informed nodes
-    kerns = [kernels._vector_kernel, kernels._scalar_kernel]
+    # frontier, n_informed counts the informed nodes and out_times holds
+    # exactly theirs.  The numpy kernel reads uniforms and takes inv_lam;
+    # the scalar kernels read the delays of the same stream
+    def uniforms(stream, m, inv_lam):
+        return stream.random(m)
+
+    kerns = [(kernels._vector_kernel, uniforms, True),
+             (kernels._scalar_kernel, kernels._delays, False)]
     if kernels.HAS_NUMBA:
-        kerns.append(kernels._scalar_kernel_jit)
+        kerns.append((kernels._scalar_kernel_jit, kernels._delays, False))
     rng = np.random.default_rng(515)
     seen = {kernels.STATUS_OK: 0, kernels.STATUS_REFILL: 0, kernels.STATUS_STUCK: 0}
     for case in range(120):
-        if case % 2:
-            n1, n2 = int(rng.integers(1, 10)), int(rng.integers(1, 30))
-            p11, p12, p22 = rng.uniform(0.0, 0.6, 3)
-            g = gg.gen_tiered_core(
-                TieredCore(n1, n2, int(rng.integers(1, n1 + 1)), p11, p12, p22), case)
-        else:
-            n = int(rng.integers(1, 60))
-            g = gg.gen_poisson(ModelParams(n, int(rng.integers(1, n + 1))),
-                               float(rng.uniform(0.0, 0.3)), case)
+        g = fuzzed_graph(rng, case)
         ann = gg.draw_announcer(rng, g)
         forwards = gg.forwarder_mask(g, ann)
         inv_lam = 1.0 if case % 3 else 1 / 0.7
-        for kern in kerns:
+        for kern, draw, takes_rate in kerns:
             uninformed = np.ones(g.node_count, dtype=np.bool_)
             uninformed[g.cluster if g.cluster_mask[ann] else [ann]] = False
             front = frontier_from_csr(g, forwards, uninformed)
             out_times = np.where(uninformed, -1.0, 0.0)
             n_informed, t = int((~uninformed).sum()), 0.0
             stream = np.random.default_rng(case)
-            draws = kernels._delays(stream, int(rng.integers(1, 8)), inv_lam)
+            rate = (inv_lam,) if takes_rate else ()
+            draws = draw(stream, int(rng.integers(1, 8)), inv_lam)
             while True:
                 status, pos, n_informed, t = kern(
                     g.indptr, g.indices, forwards, g.cluster_mask, g.cluster,
                     g.cluster_neighborhood, front, uninformed, n_informed, t,
-                    draws, out_times,
+                    draws, out_times, *rate,
                 )
                 seen[status] += 1
                 np.testing.assert_array_equal(
@@ -654,6 +786,5 @@ def test_kernel_state_invariant_at_every_return():
                 if status != kernels.STATUS_REFILL:
                     break
                 draws = np.concatenate(
-                    (draws[pos:], kernels._delays(stream, int(rng.integers(1, 8)),
-                                                  inv_lam)))
+                    (draws[pos:], draw(stream, int(rng.integers(1, 8)), inv_lam)))
     assert min(seen.values()) >= 20, seen
