@@ -277,7 +277,8 @@ def convergence_time(spec: TopologySpec, degenerate: str = "error") -> Convergen
     once per step over the rows the cluster hit has reached, while the
     rest share one running sum; O(N) memory.  The outer P_sdn-weighted
     accumulation uses compensated summation.  The D(i|x) matrix itself
-    is built only if ``profile`` is read.
+    is built only if ``profile`` is read.  An E[T] that overflows is a
+    DomainError.
     """
     if degenerate not in ("error", "clamp"):
         raise DomainError(f"degenerate must be 'error' or 'clamp', got {degenerate!r}")
@@ -305,6 +306,8 @@ def convergence_time(spec: TopologySpec, degenerate: str = "error") -> Convergen
         suffix = np.concatenate((np.cumsum(f[::-1])[::-1], [0.0]))  # over n >= m, at m - 1
         per_x = prefix[: params.steps + 1] + suffix[params.k_cluster - 1 :]
     expected = math.fsum((per_x * dist).tolist())
+    if not math.isfinite(expected):
+        raise DomainError(f"expected convergence time overflows at lam {params.lam}")
     return ConvergenceEstimate(
         expected_time=expected,
         per_x_expectation=per_x,
@@ -330,7 +333,8 @@ def core_convergence_time(spec: TieredCore) -> CoreEstimate:
     the provider-aggregated rate n1 * p12 * lam.  The slower branch
     determines the total.
 
-    Branch sizes of 0 or 1 need no dissemination and contribute 0.
+    Branch sizes of 0 or 1 need no dissemination and contribute 0; a
+    transit branch time that overflows is a DomainError.
     """
     if spec.p12 == 0.0:
         raise UnreachableTopologyError(
@@ -369,6 +373,8 @@ def core_convergence_time(spec: TieredCore) -> CoreEstimate:
         t_tier1_tier2 = 0.0
 
     t_transit = t_x_tier1 + t_tier1 + t_tier1_tier2
+    if not math.isfinite(t_transit):
+        raise DomainError(f"transit branch time overflows at lam {lam}")
     return CoreEstimate(
         t_peering=t_peering,
         t_x_tier1=t_x_tier1,

@@ -33,6 +33,8 @@ import sys
 from .analytic import convergence_time, core_convergence_time
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .experiments import (
+    _GRAPH_SALT,
+    _SIM_SALT,
     DEFAULT_FRACTIONS,
     RUN_POLICY,
     SweepSpec,
@@ -214,6 +216,13 @@ def _tiered_spec(args: argparse.Namespace) -> TieredCore:
     return TieredCore(args.n1, args.n2, args.k1, args.p11, args.p12, args.p22, args.lam)
 
 
+def _graph_spec(args: argparse.Namespace):
+    """A spec to draw a graph from: tiered, or flat with a degree sequence."""
+    if args.family == "tiered":
+        return _tiered_spec(args)
+    return _flat_spec(args, need_graph=True)
+
+
 def _emit(rows, fmt: str, out: str | None) -> None:
     """Serialize through emit, to the --out path or else to stdout."""
     text = emit(rows, fmt, out)
@@ -233,19 +242,17 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.family == "tiered":
-        spec = _tiered_spec(args)
-    else:
-        spec = _flat_spec(args, need_graph=True)
-
-    graph, drawn = draw_point(spec, derive_seed(args.seed, 1), args.policy)
+    graph, drawn = draw_point(
+        _graph_spec(args), derive_seed(args.seed, _GRAPH_SALT), args.policy
+    )
     announcer = args.announcer
     if announcer is None:
         # a regenerated tiered draw is certified reachable from its own
         # announcer only, so pin it; flat coverage is announcer-independent
         announcer = drawn if graph.is_tiered and args.policy == "regenerate" else "uniform"
     cfg = RunConfig(
-        graph, announcer, args.lam, derive_seed(args.seed, 2), RUN_POLICY[args.policy]
+        graph, announcer, args.lam, derive_seed(args.seed, _SIM_SALT),
+        RUN_POLICY[args.policy],
     )
     batch = simulate_batch(cfg, args.runs)
     if args.trace is not None:
@@ -296,11 +303,7 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def cmd_export_graph(args: argparse.Namespace) -> int:
-    if args.family == "tiered":
-        spec = _tiered_spec(args)
-    else:
-        spec = _flat_spec(args, need_graph=True)
-    export_graph(gen_graph(spec, args.seed), args.out)
+    export_graph(gen_graph(_graph_spec(args), args.seed), args.out)
     return 0
 
 

@@ -1,15 +1,17 @@
 """Experiment harness: penetration sweeps, the tiered-core case study,
 and machine-readable CSV/JSON emission.
 
-Every experiment is deterministic given its master seed.  Point i of a
-sweep derives a graph seed and a simulation seed by hashing
-(master_seed, i, salt); run r of the case study hashes
-(master_seed, point, r, salt) because tiered reachability depends on
-the announcer, so graph and announcer are redrawn jointly per run.
+Every experiment is deterministic given its master seed, and every
+simulated mean comes from simulate._run_batch.  Sweep point i draws one
+graph and a batch seed from (master_seed, i, salt); run r of case-study
+point j redraws graph and announcer from (master_seed, j, r, salt),
+because tiered reachability depends on the announcer.  Both drivers
+build their rows through _measured and _failed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -18,12 +20,11 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from ._kernels import run_dissemination
 from .analytic import convergence_time, core_convergence_time
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .graphs import Graph, draw_attempt, ensure_reachable, gen_power_law_degrees
 from .model import ConfigModel, ModelParams, TieredCore, TopologySpec, degree_stats
-from .simulate import RunConfig, RunStats, derive_seed, simulate_batch
+from .simulate import RunConfig, RunStats, _run_batch, derive_seed, simulate_batch
 
 _GRAPH_SALT = 1
 _SIM_SALT = 2
@@ -32,6 +33,9 @@ _DEGSEQ_SALT = 3
 # k = 0 is outside the model, so the 0.0 label maps to k = 1 (the
 # no-effective-centralization baseline).
 DEFAULT_FRACTIONS = tuple(round(i / 10, 1) for i in range(11))
+
+# the errors a sweep or grid point records in-row before going on
+_POINT_ERRORS = (*DOMAIN_ERRORS, UnreachableTopologyError)
 
 # The simulator policy for each reachability policy: a regenerated draw
 # reaches every node, so its runs must cover them all.
@@ -129,10 +133,22 @@ class ComparisonRow:
     error: str | None = None
 
 
-def _rel_error(analytic: float, sim_mean: float) -> float:
-    if sim_mean == 0.0:
-        return 0.0 if analytic == 0.0 else math.inf
-    return abs(analytic - sim_mean) / sim_mean
+def _measured(analytic: float, stats: RunStats) -> dict:
+    """A row's simulated columns: sim_mean, sim_std_err and rel_error."""
+    if stats.mean == 0.0:
+        rel_error = 0.0 if analytic == 0.0 else math.inf
+    else:
+        rel_error = abs(analytic - stats.mean) / stats.mean
+    return dict(sim_mean=stats.mean, sim_std_err=stats.std_err, rel_error=rel_error)
+
+
+def _failed(row_type: type, exc: Exception, keys: dict):
+    """The row of a point that raised exc: the keys as given, every other
+    float NaN, every flag False, and error "Type: msg"."""
+    fill = {"float": math.nan, "bool": False}
+    blank = {f.name: fill[f.type] for f in fields(row_type)
+             if f.type in fill and f.name not in keys}
+    return row_type(**keys, **blank, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
@@ -147,6 +163,7 @@ def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
     rows: list[ComparisonRow] = []
     template = spec.topology
     for i, fraction in enumerate(sorted(float(v) for v in spec.sweep_values)):
+        keys = dict(sweep_value=fraction, runs=spec.runs_per_point, seed=spec.master_seed)
         try:
             k = fraction_to_k(template.params.n_total, fraction)
             point = replace(template, params=replace(template.params, k_cluster=k))
@@ -170,32 +187,17 @@ def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
                 RUN_POLICY[spec.policy],
             )
             stats = simulate_batch(cfg, spec.runs_per_point).stats
-            rows.append(
-                ComparisonRow(
-                    sweep_value=fraction,
-                    analytic=analytic,
-                    sim_mean=stats.mean,
-                    sim_std_err=stats.std_err,
-                    rel_error=_rel_error(analytic, stats.mean),
-                    jensen_ok=analytic <= stats.mean + 2.0 * stats.std_err,
-                    runs=spec.runs_per_point,
-                    seed=spec.master_seed,
-                )
+        except _POINT_ERRORS as exc:
+            rows.append(_failed(ComparisonRow, exc, keys))
+            continue
+        rows.append(
+            ComparisonRow(
+                **keys,
+                analytic=analytic,
+                **_measured(analytic, stats),
+                jensen_ok=analytic <= stats.mean + 2.0 * stats.std_err,
             )
-        except (*DOMAIN_ERRORS, UnreachableTopologyError) as exc:
-            rows.append(
-                ComparisonRow(
-                    sweep_value=fraction,
-                    analytic=math.nan,
-                    sim_mean=math.nan,
-                    sim_std_err=math.nan,
-                    rel_error=math.nan,
-                    jensen_ok=False,
-                    runs=spec.runs_per_point,
-                    seed=spec.master_seed,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        )
     return rows
 
 
@@ -226,25 +228,12 @@ class CaseStudyResult:
     best_k1: dict
 
 
-def _case_study_point(
-    spec_pt: TieredCore,
-    runs: int,
-    master_seed: int,
-    point_index: int,
-    policy: str,
-) -> RunStats:
-    inv_lam = 1.0 / float(spec_pt.lam)
-    times = np.empty(runs, dtype=np.float64)
-    for r in range(runs):
-        graph, origin = draw_point(
-            spec_pt, derive_seed(master_seed, point_index, r, _GRAPH_SALT), policy
-        )
-        node_times, _ = run_dissemination(
-            graph, origin, inv_lam, derive_seed(master_seed, point_index, r, _SIM_SALT),
-            policy=RUN_POLICY[policy],
-        )
-        times[r] = node_times.max()
-    return RunStats.from_times(times)
+def _grid_run(
+    spec: TieredCore, master_seed: int, point: int, policy: str, r: int
+) -> tuple[Graph, int, int]:
+    """Run r of grid point `point`: a fresh graph, its announcer, a clock seed."""
+    graph, origin = draw_point(spec, derive_seed(master_seed, point, r, _GRAPH_SALT), policy)
+    return graph, origin, derive_seed(master_seed, point, r, _SIM_SALT)
 
 
 def run_case_study(
@@ -276,43 +265,32 @@ def run_case_study(
             baselines[p22] = core_convergence_time(
                 replace(template, k1=1, p22=p22)
             ).t_total
-        except (*DOMAIN_ERRORS, UnreachableTopologyError):
+        except _POINT_ERRORS:
             baselines[p22] = math.nan
 
     rows: list[CoreRow] = []
     best_k1: dict = dict.fromkeys(baselines)
     grid = itertools.product(p22_grid, sorted(int(k) for k in k1_values))
     for j, (p22, k1) in enumerate(grid):
+        keys = dict(p22=p22, k1=k1, runs=runs_per_point, seed=master_seed)
         try:
             spec_pt = replace(template, k1=k1, p22=p22)
             est = core_convergence_time(spec_pt)
-            stats = _case_study_point(spec_pt, runs_per_point, master_seed, j, policy)
-        except (*DOMAIN_ERRORS, UnreachableTopologyError) as exc:
-            rows.append(
-                CoreRow(
-                    p22=p22, k1=k1,
-                    analytic_total=math.nan, analytic_peering=math.nan,
-                    analytic_transit=math.nan, sim_mean=math.nan,
-                    sim_std_err=math.nan, rel_error=math.nan,
-                    runs=runs_per_point, seed=master_seed,
-                    beats_baseline=False, error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            draw = functools.partial(_grid_run, spec_pt, master_seed, j, policy)
+            batch = _run_batch(draw, runs_per_point, spec_pt.lam, RUN_POLICY[policy])
+        except _POINT_ERRORS as exc:
+            rows.append(_failed(CoreRow, exc, keys))
             continue
         beats = est.t_total < baselines[p22]
         if beats and (best_k1[p22] is None or k1 < best_k1[p22]):
             best_k1[p22] = k1
         rows.append(
             CoreRow(
-                p22=p22, k1=k1,
+                **keys,
                 analytic_total=est.t_total,
                 analytic_peering=est.t_peering,
                 analytic_transit=est.t_transit,
-                sim_mean=stats.mean,
-                sim_std_err=stats.std_err,
-                rel_error=_rel_error(est.t_total, stats.mean),
-                runs=runs_per_point,
-                seed=master_seed,
+                **_measured(est.t_total, batch.stats),
                 beats_baseline=beats,
             )
         )

@@ -1,17 +1,18 @@
 """Monte Carlo simulator for update dissemination on concrete graphs.
 
-Runs are reproducible: run r under master seed s derives its RNG state
-from SeedSequence((s, r)), split into one child for announcer choice
-and one for the run's stream of exponential waiting times.  Changing
-the number of runs therefore never perturbs earlier runs, and batches
-could be farmed out run-by-run without shared RNG state.
+Every simulated mean comes from one run loop, _run_batch, which takes
+run r's graph, announcer and clock seed from a draw function.
+simulate_batch keeps cfg's graph and splits SeedSequence((seed, r)) into
+an announcer child and a clock child; a case-study grid point redraws
+graph and announcer per run (experiments).  Either way, changing the
+number of runs never perturbs earlier runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -100,22 +101,21 @@ class DisseminationTrace:
     convergence_time: float
 
 
-def _run_times(cfg: RunConfig, run_index: int) -> tuple[int, np.ndarray]:
-    """Resolve the run's announcer and produce per-node informed times."""
+def _draw_run(cfg: RunConfig, run_index: int) -> tuple[Graph, int, np.random.SeedSequence]:
+    """Run run_index on cfg's graph: the graph, its announcer, its clock seed."""
     run_ss = np.random.SeedSequence((int(cfg.seed), int(run_index)))
     ann_child, clock_child = run_ss.spawn(2)
     origin = cfg.announcer
     if isinstance(origin, str):
         origin = draw_announcer(np.random.default_rng(ann_child), cfg.graph)
-    times, _ = run_dissemination(
-        cfg.graph, origin, 1.0 / float(cfg.lam), clock_child, policy=cfg.policy
-    )
-    return origin, times
+    return cfg.graph, origin, clock_child
 
 
 def simulate_once(cfg: RunConfig, run_index: int = 0) -> DisseminationTrace:
     """Run one dissemination and keep the full event trace."""
-    origin, times = _run_times(cfg, run_index)
+    graph, origin, clock = _draw_run(cfg, run_index)
+    inv_lam = 1.0 / float(cfg.lam)
+    times, _ = run_dissemination(graph, origin, inv_lam, clock, policy=cfg.policy)
     order = np.argsort(times, kind="stable")
     ordered = times[order]
     # unreached nodes hold -1.0, so they sort first and are no event
@@ -133,11 +133,34 @@ def simulate_once(cfg: RunConfig, run_index: int = 0) -> DisseminationTrace:
 
 @dataclass(frozen=True, eq=False)
 class BatchResult:
-    """Convergence times for a batch of runs on one fixed graph."""
+    """Convergence times and announcers of a batch of runs."""
 
     times: np.ndarray
     announcers: np.ndarray
     stats: RunStats
+
+
+def _run_batch(draw: Callable, runs: int, lam: float, policy: str) -> BatchResult:
+    """The one run loop: run r disseminates at rate lam under policy on
+    draw(r) = (graph, announcer, clock seed).  An unreachable run
+    re-raises with a `run r:` prefix; an overflowing one is a DomainError.
+    """
+    if runs < 1:
+        raise DomainError(f"runs must be >= 1, got {runs}")
+    inv_lam = 1.0 / float(lam)
+    times = np.empty(runs, dtype=np.float64)
+    announcers = np.empty(runs, dtype=np.int64)
+    for r in range(runs):
+        graph, origin, clock = draw(r)
+        try:
+            node_times, _ = run_dissemination(graph, origin, inv_lam, clock, policy=policy)
+        except UnreachableTopologyError as exc:
+            raise UnreachableTopologyError(f"run {r}: {exc}") from exc
+        times[r] = node_times.max()
+        if not math.isfinite(times[r]):
+            raise DomainError(f"run {r}: convergence time overflows at lam {lam}")
+        announcers[r] = origin
+    return BatchResult(times, announcers, RunStats.from_times(times))
 
 
 def simulate_batch(cfg: RunConfig, runs: int) -> BatchResult:
@@ -148,20 +171,7 @@ def simulate_batch(cfg: RunConfig, runs: int) -> BatchResult:
     id is the origin of every run.  Runs use the kernel that
     BGPCONV_BACKEND selects (see active_backend).
     """
-    if runs < 1:
-        raise DomainError(f"runs must be >= 1, got {runs}")
-    times = np.empty(runs, dtype=np.float64)
-    announcers = np.empty(runs, dtype=np.int64)
-    for r in range(runs):
-        try:
-            origin, node_times = _run_times(cfg, r)
-        except UnreachableTopologyError as exc:
-            raise UnreachableTopologyError(f"run {r}: {exc}") from exc
-        times[r] = node_times.max()
-        announcers[r] = origin
-    return BatchResult(
-        times=times, announcers=announcers, stats=RunStats.from_times(times)
-    )
+    return _run_batch(lambda r: _draw_run(cfg, r), runs, cfg.lam, cfg.policy)
 
 
 def format_trace(trace: DisseminationTrace) -> str:

@@ -6,6 +6,7 @@ are pinned byte-for-byte here.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -83,20 +84,48 @@ def test_sweep_rejects_bad_specs():
         bc.SweepSpec(ConfigModel(ModelParams(10, 1, 1.0), mu_d=3.0, cv_d=0.5))
 
 
-def test_sweep_continues_past_failed_points():
-    # p=0 never yields a reachable draw, so every point fails but the
-    # sweep still emits one row per requested fraction
-    spec = bc.SweepSpec(
-        Poisson(ModelParams(12, 1, 1.0), 0.0),
-        sweep_values=(0.25, 0.5),
-        runs_per_point=5,
-        master_seed=0,
-    )
+def assert_failed_row(row, keys: dict, nan_fields: str, flags: str, error: str):
+    """Every field of a failed row: the keys kept, the named floats NaN,
+    the named flags False, and error starting "Type: " plus the given
+    start of the exception's message."""
+    nan_fields, flags = nan_fields.split(), flags.split()
+    names = [f.name for f in dataclasses.fields(row)]
+    assert sorted(names) == sorted([*keys, *nan_fields, *flags, "error"])
+    for name, value in keys.items():
+        assert getattr(row, name) == value, name
+    for name in nan_fields:
+        assert math.isnan(getattr(row, name)), name
+    for name in flags:
+        assert getattr(row, name) is False, name
+    assert row.error.startswith(error), row.error
+
+
+SWEEP_NAN_FIELDS = "analytic sim_mean sim_std_err rel_error"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(
+    "topology, fractions, error",
+    [
+        # p=0 never yields a reachable draw
+        (Poisson(ModelParams(12, 1, 1.0), 0.0), (0.25, 0.5), "UnreachableTopologyError: "),
+        (FullMesh(ModelParams(5, 1, 6e-309)), (0.2, 0.4), "DomainError: expected "),
+        # E[T] is finite, but a run's time overflows
+        (FullMesh(ModelParams(5, 1, 2.1e-308)), (0.2, 0.4), "DomainError: run "),
+    ],
+    ids=["unreachable", "closed-form-overflow", "run-overflow"],
+)
+def test_sweep_continues_past_failed_points(topology, fractions, error):
+    # every point but the last fails, and the sweep still emits one row
+    # per requested fraction, then goes on to the full-penetration point
+    spec = bc.SweepSpec(topology, sweep_values=(*fractions, 1.0), runs_per_point=20,
+                        master_seed=3)
     rows = bc.run_sweep(spec)
-    assert len(rows) == 2
-    for row in rows:
-        assert row.error is not None
-        assert math.isnan(row.sim_mean) and math.isnan(row.analytic)
+    assert len(rows) == 3
+    for row, fraction in zip(rows, fractions):
+        keys = dict(sweep_value=fraction, runs=20, seed=3)
+        assert_failed_row(row, keys, SWEEP_NAN_FIELDS, "jensen_ok", error)
+    assert rows[-1].error is None and rows[-1].sim_mean == 0.0
     text = bc.emit(rows, format="csv")
     assert "nan" in text
 
@@ -221,13 +250,25 @@ def test_case_study_core_csv_schema():
     assert "rows" in doc and "best_k1" in doc
 
 
-def test_case_study_unreachable_grid_point_is_marked():
-    tpl = TieredCore(10, 30, 1, 0.5, 0.0, 0.2, 1.0)  # no transit edges
-    result = bc.run_case_study(tpl, (0.2,), (1,), runs_per_point=10, master_seed=0)
-    row = result.rows[0]
-    assert row.error is not None
-    assert math.isnan(row.sim_mean)
-    assert result.best_k1[0.2] is None
+@pytest.mark.parametrize(
+    "template, p22, k1, error",
+    [
+        # no transit edges
+        (TieredCore(10, 30, 1, 0.5, 0.0, 0.2, 1.0), 0.2, 1, "UnreachableTopologyError: "),
+        # k1 > n1: the point's own spec is invalid
+        (TieredCore(10, 30, 1, 0.5, 0.25, 0.2, 1.0), 0.2, 11, "DomainError: k1 "),
+        (TieredCore(2, 1, 1, 0.6, 1.0, 0.0, 1e-308), 0.0, 1, "DomainError: transit "),
+    ],
+    ids=["unreachable", "k1-above-n1", "transit-overflow"],
+)
+def test_case_study_unreachable_grid_point_is_marked(template, p22, k1, error):
+    result = bc.run_case_study(template, (p22,), (k1,), runs_per_point=10, master_seed=4)
+    (row,) = result.rows
+    keys = dict(p22=p22, k1=k1, runs=10, seed=4)
+    nan_fields = "analytic_total analytic_peering analytic_transit " \
+        "sim_mean sim_std_err rel_error"
+    assert_failed_row(row, keys, nan_fields, "beats_baseline", error)
+    assert result.best_k1[p22] is None
 
 
 # ---------------------------------------------------------------- config
@@ -363,6 +404,7 @@ def test_cli_config_values_obey_the_flags_choices(tmp_path, capsys):
     assert "policy" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize(
     "flags",
     [
@@ -373,6 +415,9 @@ def test_cli_config_values_obey_the_flags_choices(tmp_path, capsys):
         "full-mesh --lam 1e-320",
         "tiered --lam inf",
         "tiered --lam 1e-320",
+        # finite inputs whose E[T] or t_transit overflows
+        "full-mesh --lam 6e-309 --n 5",
+        "tiered --lam 1e-308 --n1 2 --p11 0.6 --p12 1 --n2 1 --p22 0",
     ],
 )
 def test_cli_analytic_rejects_non_finite_inputs(flags, capsys):
@@ -381,6 +426,15 @@ def test_cli_analytic_rejects_non_finite_inputs(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_simulate_run_that_overflows_exits_2(capsys):
+    argv = ["simulate", "--family", "full-mesh", "--n", "5", "--lam", "6e-309", "--runs", "5"]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: run 0: convergence time overflows")
 
 
 @pytest.mark.parametrize("lam", ["1e-30", "1e-10"])
