@@ -9,8 +9,8 @@ whole cluster at the same instant.  Time to the next event is therefore
 Exp(lambda * frontier_size).
 
 Two interchangeable backends produce bit-identical results: a compiled
-kernel (numba, the default whenever numba imports) and a vectorized
-numpy fallback.  Identity holds because both consume the same stream of
+kernel (numba, the default whenever numba imports) and a numpy
+fallback.  Identity holds because both consume the same stream of
 uniforms u in ascending node-id order within each step, give each draw
 the same delay, the IEEE value of -log1p(-u) * (1/lambda) computed by
 _exponentials (the product skipped when 1/lambda is 1), take the same
@@ -22,23 +22,40 @@ Kernel contract: run_dissemination informs the origin and owns the
 run's one Generator.  The state is two bool arrays: uninformed, and
 front, which marks exactly the uninformed nodes some informed forwarder
 neighbors (the frontier).  Informed nodes never become uninformed, so
-after a forwarder is informed, front[nbrs] = uninformed[nbrs] sets the
-frontier of its neighbors exactly: an informed neighbor reads False,
-which it already was.  Every SDN cluster member forwards (flat graphs
+after a forwarder is informed, lighting its uninformed neighbors sets
+the frontier exactly.  Every SDN cluster member forwards (flat graphs
 forward everywhere; a tiered cluster lies in tier-1), so the merged
 cluster's neighborhood is one precomputed gather.  A kernel takes
-(front, uninformed, n_informed, t), a buffer of draws and out_times,
-runs only the event loop, and returns (status, pos, n_informed, t).
-The numba kernel reads delays, converted a chunk at a time; the numpy
-kernel reads the raw uniforms and takes 1/lambda as a last argument.
-STATUS_OK: every node is informed.  STATUS_STUCK: the frontier is empty.
-STATUS_REFILL: the buffer ran short; pos is where the unfinished step
-began, and the state is as it was there.
+(front, uninformed, n_informed, t), its draws and out_times, runs only
+the event loop, and returns (status, draws used, n_informed, t) with the
+state as above.  STATUS_OK: every node is informed.  STATUS_STUCK: the
+frontier is empty.
+
+The numba kernel reads delays from a buffer of 8n, converted a chunk at
+a time.  When the buffer runs short it returns STATUS_REFILL, where pos
+is where the unfinished step began and the state is as it was there;
+run_dissemination calls it again on the unused draws followed by the
+next chunk of the same stream.
+
+The numpy kernel runs a whole dissemination in one call.  It takes a
+draw() callable that returns the next uniforms (8n in a run) and, when
+a step runs short, continues on the unused tail followed by the next
+draw(), so no result depends on how many uniforms a draw returns.  The
+frontier is a Python list of node ids in ascending order, the order a
+step's draws are taken in: a winner is popped from it and a newly lit
+node goes in by bisection.  front and uninformed are read and written
+in place through byte memoryviews, and a forwarder's neighbors are a
+memoryview slice of the CSR indices, so no per-step mask scan or copy
+is made.  Once a step finds the frontier holding every uninformed node,
+it stays so (informing a node only removes it, and on a cluster hit the
+cluster's other members), so such a step skips the neighbor scan.  A
+cluster hit, once per run at most, updates the arrays directly and
+rebuilds the list from front.
 
 Winners on uniforms (numpy kernel): a step keeps only its argmin, so the
 kernel picks it on the uniforms, records the winner's node and uniform,
-and before every return converts the recorded winners in one batch (the
-same ufuncs, on a contiguous array) and writes their times by one
+and at the end of the run converts the recorded winners in one batch
+(the same ufuncs, on a contiguous array) and writes their times by one
 sequential cumsum seeded with t.  The uniforms' first-occurrence argmin
 is the delays' whenever the delay map d is strictly increasing from the
 slice minimum u_j to every larger point of the grid k * 2**-53 that
@@ -60,25 +77,15 @@ adjacent grid points one ulp apart, and a c with a mantissa near 2 could
 round their products to one value; so the bound is 7/32, below that.)
 A step whose slice holds two or more draws with u_j >= 7/32, and every
 such step when c < 2**-969, therefore evaluates the slice's delays and
-takes their argmin, as the numba kernel does.
-
-Saturated tail (numpy kernel): once a step finds the frontier holding
-every uninformed node, no later step can add a frontier node, since
-informing a node only removes it (and, on a cluster hit, the cluster's
-other members).  From there the frontier is the ascending list of the
-remaining uninformed nodes, so the kernel finishes on a Python list:
-each step is one slice of draws, one winner and one list pop.  The
-steps take the same draws in the same order and the same winners as
-stepping the arrays, so times and draws used are bit-identical.  The
-informed nodes are written back to front, uninformed and out_times
-before the kernel returns, so the state at return is as above on every
-status.
+takes their argmin, as the numba kernel does.  A step whose delays all
+overflow takes its first node in both kernels.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import insort
 from functools import partial
 
 import numpy as np
@@ -136,7 +143,9 @@ def _scalar_kernel(
                 return (STATUS_REFILL, step_start, n_informed, t)
             d = draws[pos]
             pos += 1
-            if d < best:  # strict: earliest node id wins ties
+            # strict: earliest node id wins ties; the first draw is taken
+            # even when it is inf, as the numpy kernel's argmin takes it
+            if best_node < 0 or d < best:
                 best = d
                 best_node = u
         if best_node < 0:
@@ -175,50 +184,56 @@ _TIE_FREE_SCALE = 2.0**-969
 
 def _vector_kernel(
     indptr, indices, forwards, is_cluster, cluster, cluster_nbrs,
-    front, uninformed, n_informed, t, uniforms, out_times, inv_lam,
+    front, uninformed, n_informed, t, draw, out_times, inv_lam,
 ):
     n = front.shape[0]
-    n_draws = uniforms.shape[0]
     # 0.0: no uniform is below it, so every step compares delays
     tie_free = _TIE_FREE_BELOW if inv_lam >= _TIE_FREE_SCALE else 0.0
+    rest = front.nonzero()[0].tolist()
+    # byte views: a Python index reads and writes front and uninformed
+    lit, dark = memoryview(front).cast("B"), memoryview(uninformed).cast("B")
+    forwards, is_cluster = forwards.tobytes(), is_cluster.tobytes()
+    start, nbrs = memoryview(indptr), memoryview(indices)
     nodes, wins, merges = [], [], []
-    status, pos = STATUS_OK, 0
-    while n_informed < n:
-        frontier = front.nonzero()[0]
-        size = frontier.size
-        if size == 0:
-            status = STATUS_STUCK
-            break
-        if size == n - n_informed:
-            status, pos, n_informed = _saturated_tail(
-                frontier, cluster, front, uninformed, n_informed, uniforms, pos,
-                inv_lam, tie_free, nodes, wins, merges)
-            break
-        if pos + size > n_draws:
-            status = STATUS_REFILL
-            break
-        u = uniforms[pos : pos + size]
-        pos += size
+    left = n - n_informed
+    uniforms = draw()
+    used, pos, n_draws = 0, 0, uniforms.shape[0]
+    # the frontier is empty once every node is informed, so an empty
+    # frontier ends every run
+    while rest:
+        size = len(rest)
+        end = pos + size
+        while end > n_draws:
+            uniforms = np.concatenate((uniforms[pos:], draw()))
+            used += pos
+            pos, end, n_draws = 0, size, uniforms.shape[0]
+        u = uniforms[pos:end]
+        pos = end
         j = u.argmin()  # first occurrence: earliest node id wins ties
         uj = u.item(j)
         if uj >= tie_free and size > 1:
             j, uj = _delay_winner(u, inv_lam)
         wins.append(uj)
-        node = frontier.item(j)
+        node = rest.pop(j)
         nodes.append(node)
-        front[node] = uninformed[node] = False
-        n_informed += 1
-        if forwards[node]:
-            nb = indices[indptr[node] : indptr[node + 1]]
-            front[nb] = uninformed[nb]
+        lit[node] = dark[node] = 0
+        left -= 1
+        # a frontier that held every uninformed node gains none
+        if size <= left and forwards[node]:
+            for v in nbrs[start[node] : start[node + 1]]:
+                if dark[v] and not lit[v]:
+                    lit[v] = 1
+                    insort(rest, v)
         if is_cluster[node]:
             new = cluster[uninformed[cluster]]
             front[new] = uninformed[new] = False
-            merges.append((len(wins) - 1, new))
-            n_informed += new.size
             front[cluster_nbrs] = uninformed[cluster_nbrs]
+            rest = front.nonzero()[0].tolist()
+            merges.append((len(wins) - 1, new))
+            left -= new.size
     t = _write_times(nodes, wins, merges, t, inv_lam, out_times)
-    return (status, pos, n_informed, t)
+    status = STATUS_STUCK if left else STATUS_OK
+    return (status, used + pos, n - left, t)
 
 
 def _delay_winner(u, inv_lam):
@@ -244,48 +259,6 @@ def _write_times(nodes, wins, merges, t, inv_lam, out_times):
     for k, members in merges:
         out_times[members] = times[k]
     return times.item(-1)
-
-
-def _saturated_tail(frontier, cluster, front, uninformed, n_informed, uniforms, pos,
-                    inv_lam, tie_free, nodes, wins, merges):
-    """_vector_kernel's steps from one whose frontier holds every
-    uninformed node, to the end of the run or of the draws.
-
-    The frontier is then the ascending list of uninformed nodes, and an
-    informed node leaves it without adding any (all are on it already).
-    So each step is one slice of uniforms, one winner and one pop from
-    that list; a cluster hit also drops the cluster's uninformed members.
-    Winners go on nodes, wins and merges as in the kernel, and the
-    informed nodes are written back to front and uninformed before
-    returning (status, pos, n_informed).
-    """
-    n_draws = uniforms.shape[0]
-    first = len(nodes)
-    rest = frontier.tolist()
-    dark = set(cluster[uninformed[cluster]].tolist())
-    merged = []
-    while rest:
-        size = len(rest)
-        if pos + size > n_draws:
-            break
-        u = uniforms[pos : pos + size]
-        pos += size
-        j = u.argmin()  # first occurrence: earliest node id wins ties
-        uj = u.item(j)
-        if uj >= tie_free and size > 1:
-            j, uj = _delay_winner(u, inv_lam)
-        wins.append(uj)
-        node = rest.pop(j)
-        nodes.append(node)
-        if node in dark:
-            dark.discard(node)
-            rest = [m for m in rest if m not in dark]
-            merged = list(dark)
-            merges.append((len(wins) - 1, merged))
-            dark = ()
-    done = np.array(nodes[first:] + merged, dtype=np.intp)
-    front[done] = uninformed[done] = False
-    return (STATUS_REFILL if rest else STATUS_OK, pos, n_informed + done.size)
 
 
 def _exponentials(u: np.ndarray, inv_lam: float) -> np.ndarray:
@@ -337,15 +310,15 @@ def run_dissemination(
     seed (int or SeedSequence) opens the run's one Generator.  The
     announcer, and its SDN cluster when it belongs to one, are informed
     at time 0 here; the backend kernel then runs the event loop on
-    uniforms drawn 8n at a time, carrying the informed count across
-    calls.  The numba kernel gets each chunk as delays (unit exponentials
-    times inv_lam); the numpy kernel gets the uniforms and inv_lam, picks
-    each step's winner on the uniforms and converts only the winners,
-    comparing a step's delays instead where a tie in them is possible
-    (module docstring), so both give the same times.  A kernel that runs
-    short returns where its unfinished step began, and is called again on
-    the draws it had not used followed by the next chunk of the same
-    stream, so results never depend on the chunk size.
+    draws taken 8n at a time.  The numba kernel gets each chunk as
+    delays (unit exponentials times inv_lam) and is called again at each
+    refill.  The numpy kernel runs the whole loop in one call on the
+    uniforms and inv_lam: it picks each step's winner on the uniforms and
+    converts only the winners, comparing a step's delays instead where a
+    tie in them is possible (module docstring), so both give the same
+    times.  Either way a step that runs short continues on the draws not
+    yet used followed by the next chunk of the same stream, so results
+    never depend on the chunk size.
 
     backend is "numba", "numpy" or "auto"; None reads BGPCONV_BACKEND.
     An announcer outside [0, N), or an inv_lam that is not finite and
@@ -381,22 +354,23 @@ def run_dissemination(
 
     rng = np.random.default_rng(seed)
     chunk = 8 * n
-    if name == "numba":
-        kern, draw, rate = _scalar_kernel_jit, partial(_delays, rng, chunk, inv_lam), ()
+    arrays = (graph.indptr, graph.indices, forwards, is_cluster, graph.cluster,
+              cluster_nbrs, front, uninformed)
+    n_informed, t = int(origin.size), 0.0
+    if name == "numpy":
+        status, used, _, _ = _vector_kernel(
+            *arrays, n_informed, t, partial(rng.random, chunk), out_times, inv_lam)
     else:
-        kern, draw, rate = _vector_kernel, partial(rng.random, chunk), (inv_lam,)
-    draws = draw()
-    used, n_informed, t = 0, int(origin.size), 0.0
-    while True:
-        status, pos, n_informed, t = kern(
-            graph.indptr, graph.indices, forwards, is_cluster, graph.cluster,
-            cluster_nbrs, front, uninformed, n_informed, t, draws, out_times, *rate,
-        )
-        used += pos
-        if status != STATUS_REFILL:
-            break
-        # a step needs at most n draws, so every refill completes one
-        draws = np.concatenate((draws[pos:], draw()))
+        draw = partial(_delays, rng, chunk, inv_lam)
+        draws, used = draw(), 0
+        while True:
+            status, pos, n_informed, t = _scalar_kernel_jit(
+                *arrays, n_informed, t, draws, out_times)
+            used += pos
+            if status != STATUS_REFILL:
+                break
+            # a step needs at most n draws, so every refill completes one
+            draws = np.concatenate((draws[pos:], draw()))
     if status == STATUS_STUCK and policy == "strict":
         raise UnreachableTopologyError(
             f"announcement from node {announcer} cannot reach every node"

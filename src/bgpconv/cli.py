@@ -30,6 +30,8 @@ import dataclasses
 import functools
 import sys
 
+import numpy as np
+
 from .analytic import convergence_time, core_convergence_time
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .experiments import (
@@ -382,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
-        return args.handler(args)
+        # every non-finite result is a DomainError, so numpy's overflow
+        # warnings would only repeat it
+        with np.errstate(over="ignore"):
+            return args.handler(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

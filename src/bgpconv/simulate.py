@@ -49,8 +49,13 @@ class RunStats:
         runs = int(times.size)
         if runs < 1:
             raise DomainError("need at least one run")
-        mean = float(times.mean())
-        std = float(times.std(ddof=1)) if runs > 1 else 0.0
+        # 2**-e brings every |time| below 1, so neither the sum nor the
+        # squared deviations overflow; a power of two scales exactly, so
+        # statistics that fit unscaled keep their bits
+        e = max(math.frexp(float(np.abs(times).max()))[1], 0)
+        scaled = np.ldexp(times, -e)
+        mean = math.ldexp(float(scaled.mean()), e)
+        std = math.ldexp(float(scaled.std(ddof=1)), e) if runs > 1 else 0.0
         return cls(runs=runs, mean=mean, std_dev=std, std_err=std / math.sqrt(runs))
 
 

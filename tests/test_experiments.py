@@ -313,15 +313,18 @@ def test_cli_analytic_above_ten_thousand_nodes(capsys):
     assert "expected_time" in capsys.readouterr().out
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv):
+    """`python -m bgpconv argv...` in a fresh interpreter."""
     src = str(Path(bc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bgpconv", "analytic", "--family", "full-mesh",
-         "--n", "10", "--k", "1", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", "bgpconv", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("analytic", "--family", "full-mesh", "--n", "10", "--k", "1",
+                      "--format", "json")
     assert proc.returncode == 0, proc.stderr
     h9 = math.fsum(1 / i for i in range(1, 10))
     assert json.loads(proc.stdout)["expected_time"] == pytest.approx(h9, rel=1e-8)
@@ -435,6 +438,40 @@ def test_cli_simulate_run_that_overflows_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: run 0: convergence time overflows")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("analytic --family full-mesh --n 5 --lam 6e-309",
+         "error: expected convergence time overflows at lam 6e-309\n"),
+        ("simulate --family full-mesh --n 5 --lam 6e-309 --runs 5",
+         "error: run 0: convergence time overflows at lam 6e-309\n"),
+    ],
+)
+def test_cli_overflow_prints_only_the_error_line(argv, message):
+    # the overflow is reported once, by the error line: no numpy
+    # RuntimeWarning reaches stderr before it
+    proc = run_module(*argv.split())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == message
+
+
+def test_cli_statistics_are_finite_where_the_mean_is(capsys):
+    # run times near 1e200 and 1e300 square past the double range; the
+    # spread of the runs must still come out finite
+    assert run_cli("simulate", "--family", "full-mesh", "--n", "5", "--lam", "1e-200",
+                   "--runs", "5", "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 1e199 < doc["mean"] < 1e201
+    assert all(math.isfinite(doc[key]) for key in doc), doc
+    assert doc["ci_low"] < doc["mean"] < doc["ci_high"]
+    assert run_cli("core", "--lam", "1e-300", "--runs", "3", "--p22-values", "0.5",
+                   "--k1-values", "20", "--format", "json") == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["error"] is None
+    assert 0.0 < row["sim_std_err"] < row["sim_mean"] < math.inf
 
 
 @pytest.mark.parametrize("lam", ["1e-30", "1e-10"])

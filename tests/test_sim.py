@@ -9,6 +9,7 @@ determinism properties that must hold run by run.
 import decimal
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -84,6 +85,22 @@ def test_stats_from_times():
     assert lo == pytest.approx(2.0 - 1.96) and hi == pytest.approx(2.0 + 1.96)
     single = RunStats.from_times(np.array([2.5]))
     assert single.std_dev == 0.0 and single.std_err == 0.0
+
+
+def test_stats_from_times_keep_their_bits_and_stay_finite():
+    # statistics that fit unscaled are numpy's bit for bit; above about
+    # 1e154 the squared deviations would overflow, and the statistics
+    # are those of the times scaled down by a power of two, scaled back
+    times = np.random.default_rng(3).exponential(1.0, 200)
+    for scale in (1e-300, 1e-5, 1.0, 3.0, 1e100, 1e150):
+        stats = RunStats.from_times(times * scale)
+        assert stats.mean == float((times * scale).mean())
+        assert stats.std_dev == float((times * scale).std(ddof=1))
+    for exp in (600, 1000, 1020):
+        stats = RunStats.from_times(np.ldexp(times, exp))
+        assert stats.mean == math.ldexp(float(times.mean()), exp)
+        assert stats.std_dev == math.ldexp(float(times.std(ddof=1)), exp)
+        assert math.isfinite(stats.ci95[1])
 
 
 # ----------------------------------------------------------- determinism
@@ -406,11 +423,11 @@ def fuzzed_graph(rng, case):
 
 
 # 1/lambda: plain rates; products that go subnormal (below 2**-969 the
-# numpy kernel compares delays on every step); and products near overflow.
-# A step whose every delay overflows is left out: the scalar kernel's
-# strict d < best never takes inf, so it reports that step as stuck
+# numpy kernel compares delays on every step); and products near and past
+# overflow (at 1.7e308 every draw above about 0.65 gives an inf delay, so
+# some steps hold only inf delays and must still inform a node)
 FUZZ_INV_LAMS = (1.0, 1 / 0.7, 3.0, 0.99, 1e-300, 1e-310, 1e-320, 5e-324, 1e300,
-                 1e307)
+                 1e307, 1.7e308)
 
 
 @pytest.mark.filterwarnings("error")
@@ -452,7 +469,7 @@ def test_numpy_kernel_matches_the_scalar_kernel_on_fuzzed_runs(monkeypatch):
             assert t_np.tobytes() == t_sc.tobytes(), (case, inv_lam)
             assert used_np == used_sc
             runs += 1
-    assert runs == 600
+    assert runs == 660
     assert guarded["bound"] >= 100 and guarded["rate"] >= 100, guarded
     assert guarded["moved"] > 0, guarded
 
@@ -743,48 +760,95 @@ def frontier_from_csr(g, forwards, uninformed):
     return uninformed & adjacent
 
 
-def test_kernel_state_invariant_at_every_return():
-    # each kernel, called directly on short draw buffers, returns REFILL
-    # as well as OK and STUCK; at every return front is exactly the
-    # frontier, n_informed counts the informed nodes and out_times holds
-    # exactly theirs.  The numpy kernel reads uniforms and takes inv_lam;
-    # the scalar kernels read the delays of the same stream
-    def uniforms(stream, m, inv_lam):
-        return stream.random(m)
+def start_state(g, ann):
+    """(forwards, front, uninformed, out_times, n_informed) of a run from
+    ann before its first step, as run_dissemination sets them up."""
+    forwards = gg.forwarder_mask(g, ann)
+    uninformed = np.ones(g.node_count, dtype=np.bool_)
+    uninformed[g.cluster if g.cluster_mask[ann] else [ann]] = False
+    front = frontier_from_csr(g, forwards, uninformed)
+    out_times = np.where(uninformed, -1.0, 0.0)
+    return forwards, front, uninformed, out_times, int((~uninformed).sum())
 
-    kerns = [(kernels._vector_kernel, uniforms, True),
-             (kernels._scalar_kernel, kernels._delays, False)]
+
+def check_state(g, forwards, front, uninformed, out_times, n_informed):
+    """front is exactly the frontier, n_informed counts the informed nodes
+    and out_times holds exactly their times."""
+    np.testing.assert_array_equal(front, frontier_from_csr(g, forwards, uninformed))
+    assert n_informed == int((~uninformed).sum())
+    np.testing.assert_array_equal(out_times >= 0, ~uninformed)
+
+
+def test_kernel_state_invariant_at_every_return():
+    # each scalar kernel, called directly on short draw buffers, returns
+    # REFILL as well as OK and STUCK, and the state holds at every return.
+    # The numpy kernel draws its own refills, here 1-7 uniforms at a time,
+    # and returns once per run, OK or STUCK, with the state as above
+    scalar = [kernels._scalar_kernel]
     if kernels.HAS_NUMBA:
-        kerns.append((kernels._scalar_kernel_jit, kernels._delays, False))
+        scalar.append(kernels._scalar_kernel_jit)
     rng = np.random.default_rng(515)
     seen = {kernels.STATUS_OK: 0, kernels.STATUS_REFILL: 0, kernels.STATUS_STUCK: 0}
+    vector_seen = {kernels.STATUS_OK: 0, kernels.STATUS_STUCK: 0}
     for case in range(120):
         g = fuzzed_graph(rng, case)
         ann = gg.draw_announcer(rng, g)
-        forwards = gg.forwarder_mask(g, ann)
         inv_lam = 1.0 if case % 3 else 1 / 0.7
-        for kern, draw, takes_rate in kerns:
-            uninformed = np.ones(g.node_count, dtype=np.bool_)
-            uninformed[g.cluster if g.cluster_mask[ann] else [ann]] = False
-            front = frontier_from_csr(g, forwards, uninformed)
-            out_times = np.where(uninformed, -1.0, 0.0)
-            n_informed, t = int((~uninformed).sum()), 0.0
-            stream = np.random.default_rng(case)
-            rate = (inv_lam,) if takes_rate else ()
-            draws = draw(stream, int(rng.integers(1, 8)), inv_lam)
+        graph_args = (g.indptr, g.indices)
+        cluster_args = (g.cluster_mask, g.cluster, g.cluster_neighborhood)
+        for kern in scalar:
+            forwards, front, uninformed, out_times, n_informed = start_state(g, ann)
+            t, stream = 0.0, np.random.default_rng(case)
+            draws = kernels._delays(stream, int(rng.integers(1, 8)), inv_lam)
             while True:
                 status, pos, n_informed, t = kern(
-                    g.indptr, g.indices, forwards, g.cluster_mask, g.cluster,
-                    g.cluster_neighborhood, front, uninformed, n_informed, t,
-                    draws, out_times, *rate,
+                    *graph_args, forwards, *cluster_args, front, uninformed,
+                    n_informed, t, draws, out_times,
                 )
                 seen[status] += 1
-                np.testing.assert_array_equal(
-                    front, frontier_from_csr(g, forwards, uninformed))
-                assert n_informed == int((~uninformed).sum())
-                np.testing.assert_array_equal(out_times >= 0, ~uninformed)
+                check_state(g, forwards, front, uninformed, out_times, n_informed)
                 if status != kernels.STATUS_REFILL:
                     break
                 draws = np.concatenate(
-                    (draws[pos:], draw(stream, int(rng.integers(1, 8)), inv_lam)))
+                    (draws[pos:], kernels._delays(stream, int(rng.integers(1, 8)), inv_lam)))
+        forwards, front, uninformed, out_times, n_informed = start_state(g, ann)
+        stream = np.random.default_rng(case)
+        status, used, n_informed, t = kernels._vector_kernel(
+            *graph_args, forwards, *cluster_args, front, uninformed, n_informed, 0.0,
+            lambda: stream.random(int(rng.integers(1, 8))), out_times, inv_lam,
+        )
+        vector_seen[status] += 1
+        check_state(g, forwards, front, uninformed, out_times, n_informed)
+        assert type(used) is int
+        assert t == out_times.max()
     assert min(seen.values()) >= 20, seen
+    assert min(vector_seen.values()) >= 20, vector_seen
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_numpy_kernel_results_do_not_depend_on_the_draw_size(chunk):
+    # times (exact bytes) and draws used of the numpy kernel fed 1, 7 or
+    # 8n uniforms per draw are those of run_dissemination, on fuzzed runs
+    # (some hitting their cluster from outside it) and on runs whose
+    # frontier comes to hold every uninformed node
+    rng = np.random.default_rng(616)
+    runs = [(g, gg.draw_announcer(rng, g), 1 / 0.7)
+            for g in (fuzzed_graph(rng, case) for case in range(80))]
+    runs += [tail_case(case) for case in ("mesh-in", "mesh-out", "tiered", "poisson")]
+    cluster_hits = 0
+    for seed, (g, ann, lam) in enumerate(runs):
+        expected, expected_used = run_dissemination(g, ann, 1.0 / lam, seed,
+                                                    policy="reachable-only", backend="numpy")
+        forwards, front, uninformed, out_times, n_informed = start_state(g, ann)
+        stream = np.random.default_rng(seed)
+        draw = partial(stream.random, chunk or 8 * g.node_count)
+        _, used, _, _ = kernels._vector_kernel(
+            g.indptr, g.indices, forwards, g.cluster_mask, g.cluster,
+            g.cluster_neighborhood, front, uninformed, n_informed, 0.0, draw,
+            out_times, 1.0 / lam,
+        )
+        assert out_times.tobytes() == expected.tobytes(), seed
+        assert used == expected_used
+        cluster_hits += bool(g.cluster.size > 1 and not g.cluster_mask[ann]
+                             and (out_times[g.cluster] > 0).any())
+    assert cluster_hits >= 10, cluster_hits
