@@ -25,32 +25,37 @@ neighbors (the frontier).  Informed nodes never become uninformed, so
 after a forwarder is informed, lighting its uninformed neighbors sets
 the frontier exactly.  Every SDN cluster member forwards (flat graphs
 forward everywhere; a tiered cluster lies in tier-1), so the merged
-cluster's neighborhood is one precomputed gather.  A kernel takes
-(front, uninformed, n_informed, t), its draws and out_times, runs only
-the event loop, and returns (status, draws used, n_informed, t) with the
-state as above.  STATUS_OK: every node is informed.  STATUS_STUCK: the
-frontier is empty.
+cluster's neighborhood is one precomputed gather.  A kernel takes the
+graph, (front, uninformed, n_informed, t), its draws and out_times, runs
+only the event loop, and returns (status, draws used, n_informed, t)
+with the state as above.  STATUS_OK: every node is informed.
+STATUS_STUCK: the frontier is empty.
 
-The numba kernel reads delays from a buffer of 8n, converted a chunk at
-a time.  When the buffer runs short it returns STATUS_REFILL, where pos
-is where the unfinished step began and the state is as it was there;
+The numba kernel reads the graph as its CSR arrays and forwarder_mask,
+and delays from a buffer of 8n, converted a chunk at a time.  When the
+buffer runs short it returns STATUS_REFILL, where pos is where the
+unfinished step began and the state is as it was there;
 run_dissemination calls it again on the unused draws followed by the
 next chunk of the same stream.
 
-The numpy kernel runs a whole dissemination in one call.  It takes a
-draw() callable that returns the next uniforms (8n in a run) and, when
-a step runs short, continues on the unused tail followed by the next
-draw(), so no result depends on how many uniforms a draw returns.  The
-frontier is a Python list of node ids in ascending order, the order a
-step's draws are taken in: a winner is popped from it and a newly lit
-node goes in by bisection.  front and uninformed are read and written
-in place through byte memoryviews, and a forwarder's neighbors are a
-memoryview slice of the CSR indices, so no per-step mask scan or copy
-is made.  Once a step finds the frontier holding every uninformed node,
+The numpy kernel runs a whole dissemination in one call.  It reads the
+graph as Graph.relay_views: a memoryview of each relaying node's CSR
+row, () for any other node.  They leave out a tier-2 announcer's
+relaying, which the loop never needs: run_dissemination lights the
+announcer's neighbors first, and an informed node never wins a step.
+It takes a draw() callable that returns the next uniforms (8n in a run)
+and, when a step runs short, continues on the unused tail followed by
+the next draw(), so no result depends on how many uniforms a draw
+returns.  The frontier is an ascending Python list of node ids (a
+step's draw order): a winner is popped from it, a newly lit node goes
+in by bisection.  The state is one byte per node behind a memoryview (0
+informed, 1 uninformed, 2 on the frontier), built from front and
+uninformed on entry and written back on return: no step scans or copies
+a mask.  Once a step finds the frontier holding every uninformed node,
 it stays so (informing a node only removes it, and on a cluster hit the
 cluster's other members), so such a step skips the neighbor scan.  A
-cluster hit, once per run at most, updates the arrays directly and
-rebuilds the list from front.
+cluster hit, once per run at most, updates the state by numpy gathers
+and rebuilds the list from it.
 
 Winners on uniforms (numpy kernel): a step keeps only its argmin, so the
 kernel picks it on the uniforms, records the winner's node and uniform,
@@ -183,17 +188,16 @@ _TIE_FREE_SCALE = 2.0**-969
 
 
 def _vector_kernel(
-    indptr, indices, forwards, is_cluster, cluster, cluster_nbrs,
+    relays, is_cluster, cluster, cluster_nbrs,
     front, uninformed, n_informed, t, draw, out_times, inv_lam,
 ):
     n = front.shape[0]
     # 0.0: no uniform is below it, so every step compares delays
     tie_free = _TIE_FREE_BELOW if inv_lam >= _TIE_FREE_SCALE else 0.0
     rest = front.nonzero()[0].tolist()
-    # byte views: a Python index reads and writes front and uninformed
-    lit, dark = memoryview(front).cast("B"), memoryview(uninformed).cast("B")
-    forwards, is_cluster = forwards.tobytes(), is_cluster.tobytes()
-    start, nbrs = memoryview(indptr), memoryview(indices)
+    # one byte per node: 0 informed, 1 uninformed, 2 on the frontier
+    state = front.view(np.uint8) + uninformed
+    st, is_cluster = memoryview(state), is_cluster.tobytes()
     nodes, wins, merges = [], [], []
     left = n - n_informed
     uniforms = draw()
@@ -216,21 +220,23 @@ def _vector_kernel(
         wins.append(uj)
         node = rest.pop(j)
         nodes.append(node)
-        lit[node] = dark[node] = 0
+        st[node] = 0
         left -= 1
         # a frontier that held every uninformed node gains none
-        if size <= left and forwards[node]:
-            for v in nbrs[start[node] : start[node + 1]]:
-                if dark[v] and not lit[v]:
-                    lit[v] = 1
+        if size <= left:
+            for v in relays[node]:
+                if st[v] == 1:
+                    st[v] = 2
                     insort(rest, v)
         if is_cluster[node]:
-            new = cluster[uninformed[cluster]]
-            front[new] = uninformed[new] = False
-            front[cluster_nbrs] = uninformed[cluster_nbrs]
-            rest = front.nonzero()[0].tolist()
+            new = cluster[state[cluster] != 0]
+            state[new] = 0
+            state[cluster_nbrs[state[cluster_nbrs] == 1]] = 2
+            rest = (state == 2).nonzero()[0].tolist()
             merges.append((len(wins) - 1, new))
             left -= new.size
+    np.not_equal(state, 0, out=uninformed)
+    np.equal(state, 2, out=front)
     t = _write_times(nodes, wins, merges, t, inv_lam, out_times)
     status = STATUS_STUCK if left else STATUS_OK
     return (status, used + pos, n - left, t)
@@ -336,14 +342,14 @@ def run_dissemination(
         raise DomainError(f"1/lam must be finite and positive, got {inv_lam!r}")
 
     announcer = check_in_range(graph, announcer)
-    forwards = forwarder_mask(graph, announcer)
     is_cluster = graph.cluster_mask
     cluster_nbrs = graph.cluster_neighborhood
     n = graph.node_count
     front = np.zeros(n, dtype=np.bool_)
     uninformed = np.ones(n, dtype=np.bool_)
     out_times = np.full(n, -1.0)
-    # the announcer forwards too (forwarder_mask)
+    # the announcer forwards too (forwarder_mask); lighting its neighbors
+    # here is the only relaying a tier-2 node does
     if is_cluster[announcer]:
         origin, origin_nbrs = graph.cluster, cluster_nbrs
     else:
@@ -354,13 +360,14 @@ def run_dissemination(
 
     rng = np.random.default_rng(seed)
     chunk = 8 * n
-    arrays = (graph.indptr, graph.indices, forwards, is_cluster, graph.cluster,
-              cluster_nbrs, front, uninformed)
+    common = (is_cluster, graph.cluster, cluster_nbrs, front, uninformed)
     n_informed, t = int(origin.size), 0.0
     if name == "numpy":
         status, used, _, _ = _vector_kernel(
-            *arrays, n_informed, t, partial(rng.random, chunk), out_times, inv_lam)
+            graph.relay_views, *common, n_informed, t, partial(rng.random, chunk),
+            out_times, inv_lam)
     else:
+        arrays = (graph.indptr, graph.indices, forwarder_mask(graph, announcer), *common)
         draw = partial(_delays, rng, chunk, inv_lam)
         draws, used = draw(), 0
         while True:

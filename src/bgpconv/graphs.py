@@ -11,8 +11,9 @@ informs all).
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import IO, Iterable, Union
 
@@ -87,6 +88,16 @@ class Graph:
         return mask
 
     @cached_property
+    def relay_views(self) -> list:
+        """Per node, a memoryview of its CSR row if it relays (every node
+        of a flat graph, tier-1 of a tiered one), else (); built once."""
+        row, bounds = memoryview(self.indices), self.indptr.tolist()
+        views = [()] * self.node_count
+        for v in (self.roles != ROLE_TIER2).nonzero()[0].tolist():
+            views[v] = row[bounds[v] : bounds[v + 1]]
+        return views
+
+    @cached_property
     def cluster_neighborhood(self) -> np.ndarray:
         """Read-only neighborhood(self, cluster), built once per graph."""
         nbrs = neighborhood(self, self.cluster)
@@ -113,7 +124,8 @@ def from_edges(
     generators are responsible for producing simple edge sets.
 
     The half-edges are the keys src * N + dst of (u, v) and (v, u),
-    sorted in place; src and dst are read back from the sorted keys.
+    sorted in place.  indptr comes from the degree counts of the
+    endpoints, and dst from the sorted keys less each row's base src * N.
     Passing roles or kinds makes the graph tiered.  Its half-edge kinds
     come from the roles, kind = role_u + role_v - 1: peer11 between
     tier-1 nodes, transit12 across, peer22 between tier-2 nodes.  Kinds
@@ -157,13 +169,15 @@ def from_edges(
             raise DomainError("tiered graph nodes must be tier-1 or tier-2")
         if kinds is not None and (tier.take(u) + tier.take(v) != kinds - np.uint8(1)).any():
             raise DomainError("edge kinds disagree with the endpoint roles")
-    src = key // n
+    # the sorted keys run row by row, so degrees give the row bounds
+    degrees = np.bincount(u, minlength=node_count) + np.bincount(v, minlength=node_count)
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
     dst = key  # the keys are not needed past here
-    dst -= src * n
-    indptr = np.searchsorted(src, np.arange(node_count + 1, dtype=np.int64))
+    dst -= (np.arange(node_count, dtype=np.int64) * n).repeat(degrees)
     half_kinds = None
     if tiered:
-        half_kinds = roles.take(src)
+        half_kinds = roles.repeat(degrees)
         half_kinds += roles.take(dst)
         half_kinds -= np.uint8(1)
     members = sorted(int(c) for c in cluster)
@@ -202,11 +216,25 @@ def gen_full_mesh(params: ModelParams, seed: SeedLike) -> Graph:
 PAIR_BLOCK = 1 << 14
 
 
-def _triangle(first: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the pairs u < v of nodes [first, first + m): each
-    row's u, its first v and its length."""
-    u = np.arange(first, first + m - 1, dtype=np.int64)
-    return u, u + 1, first + m - 1 - u
+@lru_cache(maxsize=16)
+def _pair_tables(boxes: tuple) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray]:
+    """Read-only row tables of the layers boxes, built once per boxes.
+
+    A box (a, b, c, d) holds the pairs u < v with u in [a, b) and v in
+    [c, d), one row per u.  row_u[r] is row r's u; row_start[r] is the
+    index of its first pair and bounds[i] that of layer i's, each ending
+    with the pair count; row_off[r] is row r's first v less row_start[r].
+    """
+    sizes = [b - a for a, b, _, _ in boxes]
+    row_u = np.concatenate([np.arange(a, b, dtype=np.int64) for a, b, _, _ in boxes])
+    first_v = np.maximum(row_u + 1, np.repeat([c for _, _, c, _ in boxes], sizes))
+    row_start = np.zeros(row_u.size + 1, dtype=np.int64)
+    np.cumsum(np.repeat([d for *_, d in boxes], sizes) - first_v, out=row_start[1:])
+    bounds = tuple(row_start[list(accumulate([0] + sizes))].tolist())
+    row_off = first_v - row_start[:-1]
+    for table in (row_u, row_start, row_off):
+        table.flags.writeable = False
+    return row_u, row_start, bounds, row_off
 
 
 def _bernoulli_pairs(
@@ -214,22 +242,16 @@ def _bernoulli_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints (u, v) of the pairs hit in each layer, layer by layer.
 
-    A layer is (p, rows), with rows its (u, first v, length) arrays; its
-    pairs are ((u, v0), (u, v0 + 1), ...) row after row.  One uniform
-    per pair, every layer's pairs in turn as consecutive segments of one
-    stream, drawn PAIR_BLOCK at a time; each segment is compared against
-    its own p.  Consecutive draws from one Generator concatenate, so the
-    block size never changes the pairs.  All hits map to endpoints
-    through one table of row starts: the hits are sorted, so one search
-    of the row starts among them counts each row's hits.
+    A layer is (p, box), box as in _pair_tables; its pairs are ((u, v0),
+    (u, v0 + 1), ...) row after row.  One uniform per pair, every
+    layer's pairs in turn as consecutive segments of one stream, drawn
+    PAIR_BLOCK at a time; each segment is compared against its own p.
+    Consecutive draws from one Generator concatenate, so the block size
+    never changes the pairs.  All hits map to endpoints through one
+    table of row starts (_pair_tables): the hits are sorted, so one
+    search of the row starts among them counts each row's hits.
     """
-    row_u = np.concatenate([rows[0] for _, rows in layers])
-    # row_start[r] is the index of row r's first pair; the last entry is
-    # the pair count
-    row_start = np.zeros(row_u.size + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([rows[2] for _, rows in layers]), out=row_start[1:])
-    bounds = [row_start.item(r)
-              for r in accumulate([0] + [rows[0].size for _, rows in layers])]
+    row_u, row_start, bounds, row_off = _pair_tables(tuple(box for _, box in layers))
     hits = [np.empty(0, dtype=np.int64)]  # concatenate needs one array when there are no pairs
     for lo in range(0, bounds[-1], PAIR_BLOCK):
         block = rng.random(min(PAIR_BLOCK, bounds[-1] - lo))
@@ -246,7 +268,6 @@ def _bernoulli_pairs(
     first_hit = np.searchsorted(hit, row_start)
     row_hits = first_hit[1:] - first_hit[:-1]
     # a hit's v is its index plus its row's first v minus its row's start
-    row_off = np.concatenate([rows[1] for _, rows in layers]) - row_start[:-1]
     return np.repeat(row_u, row_hits), hit + np.repeat(row_off, row_hits)
 
 
@@ -257,7 +278,7 @@ def gen_poisson(params: ModelParams, p_edge: float, seed: SeedLike) -> Graph:
         raise DomainError(f"p_edge must be in [0, 1], got {p_edge}")
     rng = np.random.default_rng(seed)
     n = params.n_total
-    u, v = _bernoulli_pairs(rng, [(p_edge, _triangle(0, n))])
+    u, v = _bernoulli_pairs(rng, [(p_edge, (0, n, 0, n))])
     cluster = _sample_cluster(rng, n, params.k_cluster)
     return from_edges(n, u, v, cluster=cluster)
 
@@ -353,11 +374,10 @@ def gen_tiered_core(spec: TieredCore, seed: SeedLike) -> Graph:
     """
     rng = np.random.default_rng(seed)
     n1, n2 = spec.n1, spec.n2
-    tier1 = np.arange(n1, dtype=np.int64)
     u, v = _bernoulli_pairs(rng, [
-        (spec.p11, _triangle(0, n1)),
-        (spec.p12, (tier1, np.full(n1, n1, dtype=np.int64), np.full(n1, n2, dtype=np.int64))),
-        (spec.p22, _triangle(n1, n2)),
+        (spec.p11, (0, n1, 0, n1)),
+        (spec.p12, (0, n1, n1, n1 + n2)),
+        (spec.p22, (n1, n1 + n2, n1, n1 + n2)),
     ])
     roles = np.full(n1 + n2, ROLE_TIER2, dtype=np.uint8)
     roles[:n1] = ROLE_TIER1
@@ -413,8 +433,12 @@ def neighborhood(graph: Graph, nodes: np.ndarray) -> np.ndarray:
 
 
 def check_in_range(graph: Graph, announcer: int) -> int:
-    """The announcer as an int node id; DomainError unless 0 <= it < N."""
-    announcer = int(announcer)
+    """The announcer as an int node id; DomainError unless it is an
+    integer (Python or numpy) with 0 <= it < N."""
+    try:
+        announcer = operator.index(announcer)
+    except TypeError:
+        raise DomainError(f"announcer must be an integer node id, got {announcer!r}") from None
     if not 0 <= announcer < graph.node_count:
         raise DomainError(f"announcer {announcer} out of range")
     return announcer

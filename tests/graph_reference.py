@@ -5,9 +5,11 @@ for the tests.
 The package draws every pair layer of a graph (the Poisson triangle;
 the tiered p11 triangle, p12 transit rectangle and p22 triangle) as
 consecutive segments of one uniform stream in fixed-size blocks, maps
-all hits to endpoints through one table of row starts, reads the CSR
-arrays back from half-edge keys sorted in place, takes each half-edge's
-kind from its endpoints' roles, and finds reachable nodes by a
+all hits to endpoints through one table of row starts (cached per
+tuple of layer shapes), reads the CSR arrays back from half-edge keys
+sorted in place (row bounds from the endpoints' degree counts, each
+neighbor as its key less its row's base), takes each half-edge's kind
+from its endpoints' roles, and finds reachable nodes by a
 level-synchronous breadth-first search that stops once every node is
 seen.  The functions here do the same work one row, one index table or
 one 2-D draw per layer, and one node at a time, so the equivalence

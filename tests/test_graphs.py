@@ -338,6 +338,25 @@ def test_neighborhood_concatenates_adjacency_lists():
     assert neighborhood(g, np.array([], dtype=np.int64)).size == 0
 
 
+@pytest.mark.parametrize("case", ["mesh", "poisson", "tiered", "import-tiered"])
+def test_relay_views_are_the_rows_of_the_relaying_nodes(case):
+    g = {
+        "mesh": lambda: gen_full_mesh(ModelParams(12, 3), 0),
+        "poisson": lambda: gen_poisson(ModelParams(80, 4), 0.05, 1),
+        "tiered": lambda: gen_tiered_core(TieredCore(6, 30, 2, 0.5, 0.3, 0.2), 2),
+        "import-tiered": exported_tiered,
+    }[case]()
+    views = g.relay_views
+    assert len(views) == g.node_count
+    for v, view in enumerate(views):
+        if g.roles[v] == ROLE_TIER2:
+            assert view == ()
+        else:
+            assert list(view) == g.neighbors(v).tolist()
+    assert (g.roles == ROLE_TIER2).any() == g.is_tiered
+    assert g.relay_views is views
+
+
 def test_reachable_set_matches_depth_first_reference():
     # flat graphs near and below connectivity, tiered graphs with sparse
     # layers (announcer in tier-2, cluster in tier-1): many draws leave

@@ -9,6 +9,7 @@ determinism properties that must hold run by run.
 import decimal
 import hashlib
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -358,15 +359,23 @@ def test_kernel_rejects_a_scale_that_is_not_finite_and_positive(inv_lam, policy)
 
 
 @pytest.mark.parametrize("policy", ["strict", "reachable-only"])
-@pytest.mark.parametrize("announcer", [-1, 6])
+@pytest.mark.parametrize("announcer", [-1, 6, 2.7, math.nan, math.inf, "3"])
 def test_announcer_out_of_range_is_a_domain_error(announcer, policy):
-    # one range check for the kernel, the reachability search and RunConfig
+    # one check for the kernel, the reachability search and RunConfig: an
+    # integer node id in range; a float is not truncated to one, nor a
+    # string parsed as one
     g = gg.gen_full_mesh(ModelParams(6, 1, 1.0), 0)
-    with pytest.raises(DomainError, match=f"announcer {announcer} out of range"):
+    if isinstance(announcer, int):
+        message = config_message = f"announcer {announcer} out of range"
+    else:
+        message = f"announcer must be an integer node id, got {re.escape(repr(announcer))}"
+        # RunConfig reads a string as an announcer policy
+        config_message = "unknown announcer policy" if isinstance(announcer, str) else message
+    with pytest.raises(DomainError, match=message):
         run_dissemination(g, announcer, 1.0, 0, "numpy", policy)
-    with pytest.raises(DomainError, match="out of range"):
+    with pytest.raises(DomainError, match=message):
         gg.reachable_set(g, announcer)
-    with pytest.raises(DomainError, match="out of range"):
+    with pytest.raises(DomainError, match=config_message):
         RunConfig(graph=g, announcer=announcer, policy=policy)
 
 
@@ -408,6 +417,23 @@ def test_backends_are_bit_identical(monkeypatch):
                                               policy="reachable-only")
             np.testing.assert_array_equal(t_sc, t_np)
             assert used_sc == used_np
+
+
+@pytest.mark.parametrize("backend", ["numba", "numpy"])
+def test_a_tier2_announcer_relays_its_own_announcement(monkeypatch, backend):
+    # tier-2 node 3's only edge is a p22 edge to the tier-2 announcer 2,
+    # so a strict run converges only if the announcer's neighbors are lit
+    # before the event loop, which relays from tier-1 nodes alone
+    monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+    monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
+    roles = np.array([gg.ROLE_TIER1, gg.ROLE_TIER1, gg.ROLE_TIER2, gg.ROLE_TIER2],
+                     dtype=np.uint8)
+    g = gg.from_edges(4, np.array([0, 0, 2]), np.array([1, 2, 3]), roles=roles,
+                      cluster=[0])
+    assert g.relay_views[2] == () and g.neighbors(3).tolist() == [2]
+    for seed in range(5):
+        times, _ = run_dissemination(g, 2, 1.0, seed, backend=backend, policy="strict")
+        assert (times[[0, 1, 3]] > 0).all() and times[2] == 0.0
 
 
 def fuzzed_graph(rng, case):
@@ -814,7 +840,7 @@ def test_kernel_state_invariant_at_every_return():
         forwards, front, uninformed, out_times, n_informed = start_state(g, ann)
         stream = np.random.default_rng(case)
         status, used, n_informed, t = kernels._vector_kernel(
-            *graph_args, forwards, *cluster_args, front, uninformed, n_informed, 0.0,
+            g.relay_views, *cluster_args, front, uninformed, n_informed, 0.0,
             lambda: stream.random(int(rng.integers(1, 8))), out_times, inv_lam,
         )
         vector_seen[status] += 1
@@ -839,13 +865,12 @@ def test_numpy_kernel_results_do_not_depend_on_the_draw_size(chunk):
     for seed, (g, ann, lam) in enumerate(runs):
         expected, expected_used = run_dissemination(g, ann, 1.0 / lam, seed,
                                                     policy="reachable-only", backend="numpy")
-        forwards, front, uninformed, out_times, n_informed = start_state(g, ann)
+        _, front, uninformed, out_times, n_informed = start_state(g, ann)
         stream = np.random.default_rng(seed)
         draw = partial(stream.random, chunk or 8 * g.node_count)
         _, used, _, _ = kernels._vector_kernel(
-            g.indptr, g.indices, forwards, g.cluster_mask, g.cluster,
-            g.cluster_neighborhood, front, uninformed, n_informed, 0.0, draw,
-            out_times, 1.0 / lam,
+            g.relay_views, g.cluster_mask, g.cluster, g.cluster_neighborhood,
+            front, uninformed, n_informed, 0.0, draw, out_times, 1.0 / lam,
         )
         assert out_times.tobytes() == expected.tobytes(), seed
         assert used == expected_used
