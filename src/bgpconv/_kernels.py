@@ -19,20 +19,24 @@ via the BGPCONV_BACKEND environment variable ("numba", "numpy", or
 "auto") or an explicit argument taking the same names.
 
 Kernel contract: run_dissemination informs the origin and owns the
-run's one Generator.  The state is two bool arrays: uninformed, and
-front, which marks exactly the uninformed nodes some informed forwarder
-neighbors (the frontier).  Informed nodes never become uninformed, so
-after a forwarder is informed, lighting its uninformed neighbors sets
-the frontier exactly.  Every SDN cluster member forwards (flat graphs
-forward everywhere; a tiered cluster lies in tier-1), so the merged
+run's one Generator.  The state is one byte per node: 0 informed, 1
+uninformed, 2 on the frontier (the uninformed nodes that the announcer
+or some informed relaying node neighbors).  Graph.relay_mask says who relays: every node
+of a flat graph, tier-1 of a tiered one.  A tier-2 announcer relays its
+own announcement, but only once: run_dissemination lights the origin's
+neighbors before the call, and an informed node never wins a step, so
+neither kernel needs it in the mask.  Informed nodes never become
+uninformed, so after a relaying node is informed, lighting its
+uninformed neighbors sets the frontier exactly.  Every SDN cluster
+member relays (a tiered cluster lies in tier-1), so the merged
 cluster's neighborhood is one precomputed gather.  A kernel takes the
-graph, (front, uninformed, n_informed, t), its draws and out_times, runs
-only the event loop, and returns (status, draws used, n_informed, t)
-with the state as above.  STATUS_OK: every node is informed.
-STATUS_STUCK: the frontier is empty.
+graph, (state, n_informed, t), its draws and out_times, runs only the
+event loop, and returns (status, draws used, n_informed, t) with the
+state as above.  STATUS_OK: every node is informed.  STATUS_STUCK: the
+frontier is empty.
 
-The numba kernel reads the graph as its CSR arrays and forwarder_mask,
-and delays from a buffer of 8n, converted a chunk at a time.  When the
+The numba kernel reads the graph as its CSR arrays and relay_mask, and
+delays from a buffer of 8n, converted a chunk at a time.  When the
 buffer runs short it returns STATUS_REFILL, where pos is where the
 unfinished step began and the state is as it was there;
 run_dissemination calls it again on the unused draws followed by the
@@ -40,22 +44,18 @@ next chunk of the same stream.
 
 The numpy kernel runs a whole dissemination in one call.  It reads the
 graph as Graph.relay_views: a memoryview of each relaying node's CSR
-row, () for any other node.  They leave out a tier-2 announcer's
-relaying, which the loop never needs: run_dissemination lights the
-announcer's neighbors first, and an informed node never wins a step.
-It takes a draw() callable that returns the next uniforms (8n in a run)
-and, when a step runs short, continues on the unused tail followed by
-the next draw(), so no result depends on how many uniforms a draw
-returns.  The frontier is an ascending Python list of node ids (a
-step's draw order): a winner is popped from it, a newly lit node goes
-in by bisection.  The state is one byte per node behind a memoryview (0
-informed, 1 uninformed, 2 on the frontier), built from front and
-uninformed on entry and written back on return: no step scans or copies
-a mask.  Once a step finds the frontier holding every uninformed node,
-it stays so (informing a node only removes it, and on a cluster hit the
-cluster's other members), so such a step skips the neighbor scan.  A
-cluster hit, once per run at most, updates the state by numpy gathers
-and rebuilds the list from it.
+row, () for any other node.  It takes a draw() callable that returns
+the next uniforms (8n in a run) and, when a step runs short, continues
+on the unused tail followed by the next draw(), so no result depends on
+how many uniforms a draw returns.  The frontier is an ascending Python
+list of node ids (a step's draw order): a winner is popped from it, a
+newly lit node goes in by bisection, and the state is read and written
+behind a memoryview, so no step scans or copies a mask.  Once a step
+finds the frontier holding every uninformed node, it stays so
+(informing a node only removes it, and on a cluster hit the cluster's
+other members), so such a step skips the neighbor scan.  A cluster hit,
+once per run at most, updates the state by numpy gathers and rebuilds
+the list from it.
 
 Winners on uniforms (numpy kernel): a step keeps only its argmin, so the
 kernel picks it on the uniforms, records the winner's node and uniform,
@@ -96,7 +96,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, UnreachableTopologyError
-from .graphs import Graph, check_in_range, forwarder_mask
+from .graphs import Graph, check_in_range
 
 try:
     import numba
@@ -132,17 +132,17 @@ def active_backend() -> str:
 
 
 def _scalar_kernel(
-    indptr, indices, forwards, is_cluster, cluster, cluster_nbrs,
-    front, uninformed, n_informed, t, draws, out_times,
+    indptr, indices, relay_mask, is_cluster, cluster, cluster_nbrs,
+    state, n_informed, t, draws, out_times,
 ):
-    n = front.shape[0]
+    n = state.shape[0]
     pos = 0
     while n_informed < n:
         step_start = pos
         best = np.inf
         best_node = -1
         for u in range(n):
-            if not front[u]:
+            if state[u] != 2:
                 continue
             if pos >= draws.shape[0]:
                 return (STATUS_REFILL, step_start, n_informed, t)
@@ -156,21 +156,23 @@ def _scalar_kernel(
         if best_node < 0:
             return (STATUS_STUCK, pos, n_informed, t)
         t += best
-        front[best_node] = uninformed[best_node] = False
+        state[best_node] = 0
         out_times[best_node] = t
         n_informed += 1
-        if forwards[best_node]:
+        if relay_mask[best_node]:
             for e in range(indptr[best_node], indptr[best_node + 1]):
                 v = indices[e]
-                front[v] = uninformed[v]
+                if state[v] == 1:
+                    state[v] = 2
         if is_cluster[best_node]:
             for m in cluster:
-                if uninformed[m]:
-                    front[m] = uninformed[m] = False
+                if state[m] != 0:
+                    state[m] = 0
                     out_times[m] = t
                     n_informed += 1
             for v in cluster_nbrs:
-                front[v] = uninformed[v]
+                if state[v] == 1:
+                    state[v] = 2
     return (STATUS_OK, pos, n_informed, t)
 
 
@@ -189,14 +191,12 @@ _TIE_FREE_SCALE = 2.0**-969
 
 def _vector_kernel(
     relays, is_cluster, cluster, cluster_nbrs,
-    front, uninformed, n_informed, t, draw, out_times, inv_lam,
+    state, n_informed, t, draw, out_times, inv_lam,
 ):
-    n = front.shape[0]
+    n = state.shape[0]
     # 0.0: no uniform is below it, so every step compares delays
     tie_free = _TIE_FREE_BELOW if inv_lam >= _TIE_FREE_SCALE else 0.0
-    rest = front.nonzero()[0].tolist()
-    # one byte per node: 0 informed, 1 uninformed, 2 on the frontier
-    state = front.view(np.uint8) + uninformed
+    rest = (state == 2).nonzero()[0].tolist()
     st, is_cluster = memoryview(state), is_cluster.tobytes()
     nodes, wins, merges = [], [], []
     left = n - n_informed
@@ -235,8 +235,6 @@ def _vector_kernel(
             rest = (state == 2).nonzero()[0].tolist()
             merges.append((len(wins) - 1, new))
             left -= new.size
-    np.not_equal(state, 0, out=uninformed)
-    np.equal(state, 2, out=front)
     t = _write_times(nodes, wins, merges, t, inv_lam, out_times)
     status = STATUS_STUCK if left else STATUS_OK
     return (status, used + pos, n - left, t)
@@ -345,29 +343,29 @@ def run_dissemination(
     is_cluster = graph.cluster_mask
     cluster_nbrs = graph.cluster_neighborhood
     n = graph.node_count
-    front = np.zeros(n, dtype=np.bool_)
-    uninformed = np.ones(n, dtype=np.bool_)
+    # one byte per node: 0 informed, 1 uninformed, 2 on the frontier
+    state = np.ones(n, dtype=np.uint8)
     out_times = np.full(n, -1.0)
-    # the announcer forwards too (forwarder_mask); lighting its neighbors
+    # the announcer relays its own announcement: lighting its neighbors
     # here is the only relaying a tier-2 node does
     if is_cluster[announcer]:
         origin, origin_nbrs = graph.cluster, cluster_nbrs
     else:
         origin, origin_nbrs = np.array([announcer]), graph.neighbors(announcer)
-    uninformed[origin] = False
+    state[origin] = 0
     out_times[origin] = 0.0
-    front[origin_nbrs] = uninformed[origin_nbrs]
+    state[origin_nbrs[state[origin_nbrs] == 1]] = 2
 
     rng = np.random.default_rng(seed)
     chunk = 8 * n
-    common = (is_cluster, graph.cluster, cluster_nbrs, front, uninformed)
+    common = (is_cluster, graph.cluster, cluster_nbrs, state)
     n_informed, t = int(origin.size), 0.0
     if name == "numpy":
         status, used, _, _ = _vector_kernel(
             graph.relay_views, *common, n_informed, t, partial(rng.random, chunk),
             out_times, inv_lam)
     else:
-        arrays = (graph.indptr, graph.indices, forwarder_mask(graph, announcer), *common)
+        arrays = (graph.indptr, graph.indices, graph.relay_mask, *common)
         draw = partial(_delays, rng, chunk, inv_lam)
         draws, used = draw(), 0
         while True:

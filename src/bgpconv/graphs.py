@@ -88,12 +88,20 @@ class Graph:
         return mask
 
     @cached_property
+    def relay_mask(self) -> np.ndarray:
+        """Read-only bool mask of the nodes that relay (every node of a
+        flat graph, tier-1 of a tiered one), built once per graph."""
+        mask = self.roles != ROLE_TIER2
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
     def relay_views(self) -> list:
-        """Per node, a memoryview of its CSR row if it relays (every node
-        of a flat graph, tier-1 of a tiered one), else (); built once."""
+        """Per node, a memoryview of its CSR row if it relays
+        (relay_mask), else (); built once."""
         row, bounds = memoryview(self.indices), self.indptr.tolist()
         views = [()] * self.node_count
-        for v in (self.roles != ROLE_TIER2).nonzero()[0].tolist():
+        for v in self.relay_mask.nonzero()[0].tolist():
             views[v] = row[bounds[v] : bounds[v + 1]]
         return views
 
@@ -404,20 +412,6 @@ def gen_graph(spec: TopologySpec, seed: SeedLike) -> Graph:
     raise DomainError(f"unknown topology spec {type(spec).__name__}")
 
 
-def forwarder_mask(graph: Graph, announcer: int) -> np.ndarray:
-    """Which informed nodes re-forward updates.
-
-    Flat graphs: every node.  Tiered graphs: tier-1 nodes always, plus
-    the announcing tier-2 node (its peering and transit edges carry its
-    own announcement); other tier-2 nodes receive but do not forward.
-    """
-    if not graph.is_tiered:
-        return np.ones(graph.node_count, dtype=np.bool_)
-    mask = graph.roles == ROLE_TIER1
-    mask[announcer] = True
-    return mask
-
-
 def neighborhood(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     """The adjacency lists of nodes, concatenated in the order given.
 
@@ -448,13 +442,14 @@ def reachable_set(graph: Graph, announcer: int) -> np.ndarray:
     """Nodes reachable from the announcer along eligible paths.
 
     The SDN cluster acts as a super-node: reaching any member reaches
-    all members.  Only forwarders extend paths; a non-forwarding node is
-    reachable when some forwarder neighbors it (one final hop).  Runs a
-    level-synchronous breadth-first search over the CSR arrays, and
-    stops as soon as every node is seen.
+    all members.  Only relaying nodes and the announcer extend paths;
+    another node is reachable when one of them neighbors it (one final
+    hop).  Runs a level-synchronous breadth-first search over the CSR
+    arrays, and stops as soon as every node is seen.
     """
     announcer = check_in_range(graph, announcer)
-    forwards = forwarder_mask(graph, announcer)
+    forwards = graph.relay_mask.copy()
+    forwards[announcer] = True  # the announcer relays its own announcement
     cluster_mask = graph.cluster_mask
     unseen = np.ones(graph.node_count, dtype=np.bool_)
     unseen[announcer] = False

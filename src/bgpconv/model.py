@@ -105,10 +105,9 @@ class ConfigModel:
             if any(d < 1 for d in seq):
                 raise DomainError("every degree must be >= 1")
             object.__setattr__(self, "degree_seq", seq)
-            arr = np.asarray(seq, dtype=np.float64)
-            mu = float(arr.mean())
+            mu, cv = degree_stats(seq)
             object.__setattr__(self, "mu_d", mu)
-            object.__setattr__(self, "cv_d", float(arr.std() / mu))
+            object.__setattr__(self, "cv_d", cv)
         else:
             if self.mu_d is None or self.cv_d is None:
                 raise DomainError("ConfigModel needs degree_seq or (mu_d, cv_d)")

@@ -2,8 +2,8 @@
 
 Every simulated mean comes from one run loop, _run_batch, which takes
 run r's graph, announcer and clock seed from a draw function.
-simulate_batch keeps cfg's graph and splits SeedSequence((seed, r)) into
-an announcer child and a clock child; a case-study grid point redraws
+simulate_batch keeps cfg's graph and takes an announcer child and a
+clock child of SeedSequence((seed, r)); a case-study grid point redraws
 graph and announcer per run (experiments).  Either way, changing the
 number of runs never perturbs earlier runs.
 """
@@ -108,12 +108,13 @@ class DisseminationTrace:
 
 def _draw_run(cfg: RunConfig, run_index: int) -> tuple[Graph, int, np.random.SeedSequence]:
     """Run run_index on cfg's graph: the graph, its announcer, its clock seed."""
-    run_ss = np.random.SeedSequence((int(cfg.seed), int(run_index)))
-    ann_child, clock_child = run_ss.spawn(2)
+    # children 0 and 1 of SeedSequence((seed, r)).spawn(2), built alone
+    entropy = (int(cfg.seed), int(run_index))
     origin = cfg.announcer
     if isinstance(origin, str):
+        ann_child = np.random.SeedSequence(entropy, spawn_key=(0,))
         origin = draw_announcer(np.random.default_rng(ann_child), cfg.graph)
-    return cfg.graph, origin, clock_child
+    return cfg.graph, origin, np.random.SeedSequence(entropy, spawn_key=(1,))
 
 
 def simulate_once(cfg: RunConfig, run_index: int = 0) -> DisseminationTrace:

@@ -16,7 +16,9 @@ one 2-D draw per layer, and one node at a time, so the equivalence
 tests compare two implementations: graphs bit for bit, reachable sets
 exactly.  The package checks a graph's invariants once, vectorized, in
 from_edges; check_graph re-checks them on the built CSR arrays one node
-at a time, kinds against roles included.
+at a time, kinds against roles included.  relaying_nodes restates the
+forwarding rule from the tiers, so the reachability and kernel-state
+tests do not read it from Graph.relay_mask, the rule under test.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from bgpconv.graphs import (
     ROLE_TIER2,
     Graph,
     _sample_cluster,
-    forwarder_mask,
     from_edges,
 )
 from bgpconv.model import ModelParams, TieredCore
@@ -95,9 +96,21 @@ def gen_tiered_core_triu(spec: TieredCore, seed) -> Graph:
     return from_edges(n, u, v, kinds=kinds, roles=roles, cluster=cluster)
 
 
+def relaying_nodes(graph: Graph, announcer: int) -> np.ndarray:
+    """Which informed nodes relay: every node of a flat graph, tier-1
+    of a tiered one, plus the announcer, which relays its own
+    announcement."""
+    if graph.is_tiered:
+        forwards = graph.roles == ROLE_TIER1
+    else:
+        forwards = np.ones(graph.node_count, dtype=np.bool_)
+    forwards[announcer] = True
+    return forwards
+
+
 def reachable_set_dfs(graph: Graph, announcer: int) -> np.ndarray:
     """reachable_set by a depth-first search, one node at a time."""
-    forwards = forwarder_mask(graph, announcer)
+    forwards = relaying_nodes(graph, announcer)
     cluster_mask = graph.cluster_mask
     seen = np.zeros(graph.node_count, dtype=np.bool_)
     seen[announcer] = True

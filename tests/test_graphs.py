@@ -355,6 +355,11 @@ def test_relay_views_are_the_rows_of_the_relaying_nodes(case):
             assert list(view) == g.neighbors(v).tolist()
     assert (g.roles == ROLE_TIER2).any() == g.is_tiered
     assert g.relay_views is views
+    # the one forwarding rule the views, the kernels and reachable_set read
+    mask = g.relay_mask
+    np.testing.assert_array_equal(mask, g.roles != ROLE_TIER2)
+    assert mask.dtype == np.bool_ and not mask.flags.writeable
+    assert g.relay_mask is mask
 
 
 def test_reachable_set_matches_depth_first_reference():

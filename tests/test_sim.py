@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import bgpconv.graphs as gg
 import bgpconv._kernels as kernels
+import bgpconv.simulate as simulate
 from bgpconv._kernels import (
     active_backend,
     run_dissemination,
@@ -34,6 +35,7 @@ from bgpconv.simulate import (
     simulate_batch,
     simulate_once,
 )
+from graph_reference import relaying_nodes
 
 TIERED = TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0)
 
@@ -120,6 +122,21 @@ def test_runs_are_seeded_independently_by_index():
     long = simulate_batch(cfg, 30)
     short = simulate_batch(cfg, 12)
     np.testing.assert_array_equal(long.times[:12], short.times)
+
+
+@pytest.mark.parametrize("seed,run", [(5, 7), (0, 0), (2**63, 12345)])
+def test_run_seeds_are_the_spawned_children(seed, run):
+    # _draw_run builds children 0 (announcer) and 1 (clock) of
+    # SeedSequence((seed, run)) by spawn key; they must be the ones
+    # spawn(2) gives, so every run keeps its stream
+    ann_child, clock_child = np.random.SeedSequence((seed, run)).spawn(2)
+    g = gg.gen_full_mesh(ModelParams(50, 1), 0)
+    drawn = gg.draw_announcer(np.random.default_rng(ann_child), g)
+    for announcer, expected in (("uniform", drawn), (3, 3)):
+        graph, origin, clock = simulate._draw_run(
+            RunConfig(graph=g, announcer=announcer, seed=seed), run)
+        assert graph is g and origin == expected
+        assert clock.generate_state(8).tolist() == clock_child.generate_state(8).tolist()
 
 
 def test_rate_doubling_halves_every_event_time_exactly():
@@ -381,6 +398,15 @@ def test_announcer_out_of_range_is_a_domain_error(announcer, policy):
 
 # --------------------------------------------------------------- backends
 
+@pytest.fixture
+def scalar_as_numba(monkeypatch):
+    """Make the "numba" backend run the un-jitted scalar kernel, so its
+    logic is checked without numba installed; returns "numba"."""
+    monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+    monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
+    return "numba"
+
+
 def star_graph(n):
     """Star on n nodes centred at 0, with node 5 a one-member cluster."""
     u = np.zeros(n - 1, dtype=np.int64)
@@ -420,17 +446,16 @@ def test_backends_are_bit_identical(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_a_tier2_announcer_relays_its_own_announcement(monkeypatch, backend):
+def test_a_tier2_announcer_relays_its_own_announcement(scalar_as_numba, backend):
     # tier-2 node 3's only edge is a p22 edge to the tier-2 announcer 2,
     # so a strict run converges only if the announcer's neighbors are lit
     # before the event loop, which relays from tier-1 nodes alone
-    monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-    monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
     roles = np.array([gg.ROLE_TIER1, gg.ROLE_TIER1, gg.ROLE_TIER2, gg.ROLE_TIER2],
                      dtype=np.uint8)
     g = gg.from_edges(4, np.array([0, 0, 2]), np.array([1, 2, 3]), roles=roles,
                       cluster=[0])
     assert g.relay_views[2] == () and g.neighbors(3).tolist() == [2]
+    assert not g.relay_mask[2] and gg.reachable_set(g, 2).all()
     for seed in range(5):
         times, _ = run_dissemination(g, 2, 1.0, seed, backend=backend, policy="strict")
         assert (times[[0, 1, 3]] > 0).all() and times[2] == 0.0
@@ -457,13 +482,11 @@ FUZZ_INV_LAMS = (1.0, 1 / 0.7, 3.0, 0.99, 1e-300, 1e-310, 1e-320, 5e-324, 1e300,
 
 
 @pytest.mark.filterwarnings("error")
-def test_numpy_kernel_matches_the_scalar_kernel_on_fuzzed_runs(monkeypatch):
+def test_numpy_kernel_matches_the_scalar_kernel_on_fuzzed_runs(monkeypatch, scalar_as_numba):
     # the numpy kernel picks winners on uniforms, the un-jitted scalar
     # kernel on delays: times (exact bytes) and draws used must agree, and
     # the steps that compare delays (slice minimum >= 7/32, or 1/lambda
     # below 2**-969) must have run, some of them changing the winner
-    monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-    monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
     guarded = {"bound": 0, "rate": 0, "moved": 0}
     delay_winner = kernels._delay_winner
 
@@ -520,11 +543,11 @@ def test_env_selected_backend_matches_explicit(monkeypatch):
 
 
 @pytest.mark.parametrize("has_numba", [False, True])
-def test_explicit_auto_backend_matches_the_environment(monkeypatch, has_numba):
+def test_explicit_auto_backend_matches_the_environment(monkeypatch, scalar_as_numba,
+                                                       has_numba):
     # one resolver for the argument and BGPCONV_BACKEND, and it reads the
     # numba flag at call time; numba here runs the un-jitted scalar kernel
     monkeypatch.setattr(kernels, "HAS_NUMBA", has_numba)
-    monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
     monkeypatch.setenv("BGPCONV_BACKEND", "auto")
     assert kernels._backend_name("auto") == ("numba" if has_numba else "numpy")
     g = gg.gen_tiered_core(TIERED, 3)
@@ -677,16 +700,13 @@ def pinned_case(case):
          11474),
     ],
 )
-def test_cluster_merge_and_rate_keep_the_stream(monkeypatch, kernel, case, digest, draws):
+def test_cluster_merge_and_rate_keep_the_stream(scalar_as_numba, kernel, case, digest,
+                                                draws):
     # times (exact bytes) and draws used on the paths that scale draws by
     # 1/lam and merge a large cluster: from inside it (k = 270), from
     # outside it, from a tier-2 announcer, and on a full mesh (k = 150)
     g, ann, lam = pinned_case(case)
-    backend = "numpy"
-    if kernel == "scalar":
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
-        backend = "numba"
+    backend = scalar_as_numba if kernel == "scalar" else "numpy"
     times, used = run_dissemination(g, ann, 1.0 / lam, 909, backend=backend,
                                     policy="reachable-only")
     assert hashlib.sha256(times.tobytes()).hexdigest() == digest
@@ -724,18 +744,15 @@ def tail_case(case):
          2_201_852),
     ],
 )
-def test_saturated_frontier_runs_keep_the_stream(monkeypatch, kernel, case, digest, draws):
+def test_saturated_frontier_runs_keep_the_stream(scalar_as_numba, kernel, case, digest,
+                                                 draws):
     # times (exact bytes) and draws used of runs that spend their last
     # steps with every uninformed node on the frontier: a full mesh from
     # inside and outside its cluster, a tiered run, a Poisson run whose
     # cluster is hit in those steps, and the star, whose buffer runs
     # short in them
     g, ann, lam = tail_case(case)
-    backend = "numpy"
-    if kernel == "scalar":
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
-        backend = "numba"
+    backend = scalar_as_numba if kernel == "scalar" else "numpy"
     times, used = run_dissemination(g, ann, 1.0 / lam, 901, backend=backend,
                                     policy="reachable-only")
     assert hashlib.sha256(times.tobytes()).hexdigest() == digest
@@ -757,14 +774,10 @@ def stuck_runs():
 
 
 @pytest.mark.parametrize("kernel", ["numpy", "scalar"])
-def test_stuck_path_keeps_the_stream(monkeypatch, kernel):
+def test_stuck_path_keeps_the_stream(scalar_as_numba, kernel):
     # times (exact bytes) and draws used of reachable-only runs that end
     # on an empty frontier, in one digest over all 120 runs
-    backend = "numpy"
-    if kernel == "scalar":
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
-        backend = "numba"
+    backend = scalar_as_numba if kernel == "scalar" else "numpy"
     h = hashlib.sha256()
     runs = 0
     for run, (g, ann, lam) in enumerate(stuck_runs()):
@@ -787,20 +800,25 @@ def frontier_from_csr(g, forwards, uninformed):
 
 
 def start_state(g, ann):
-    """(forwards, front, uninformed, out_times, n_informed) of a run from
-    ann before its first step, as run_dissemination sets them up."""
-    forwards = gg.forwarder_mask(g, ann)
+    """(forwards, state, out_times, n_informed) of a run from ann before
+    its first step, as run_dissemination sets them up: forwards is the
+    reference forwarding rule, state the kernels' byte per node (0
+    informed, 1 uninformed, 2 on the frontier)."""
+    forwards = relaying_nodes(g, ann)
     uninformed = np.ones(g.node_count, dtype=np.bool_)
     uninformed[g.cluster if g.cluster_mask[ann] else [ann]] = False
-    front = frontier_from_csr(g, forwards, uninformed)
+    state = uninformed.astype(np.uint8) + frontier_from_csr(g, forwards, uninformed)
     out_times = np.where(uninformed, -1.0, 0.0)
-    return forwards, front, uninformed, out_times, int((~uninformed).sum())
+    return forwards, state, out_times, int((~uninformed).sum())
 
 
-def check_state(g, forwards, front, uninformed, out_times, n_informed):
-    """front is exactly the frontier, n_informed counts the informed nodes
-    and out_times holds exactly their times."""
-    np.testing.assert_array_equal(front, frontier_from_csr(g, forwards, uninformed))
+def check_state(g, forwards, state, out_times, n_informed):
+    """state holds only 0, 1 and 2, its 2s are exactly the frontier,
+    n_informed counts the informed nodes and out_times holds exactly
+    their times."""
+    assert state.dtype == np.uint8 and state.max(initial=0) <= 2
+    uninformed = state != 0
+    np.testing.assert_array_equal(state == 2, frontier_from_csr(g, forwards, uninformed))
     assert n_informed == int((~uninformed).sum())
     np.testing.assert_array_equal(out_times >= 0, ~uninformed)
 
@@ -820,31 +838,30 @@ def test_kernel_state_invariant_at_every_return():
         g = fuzzed_graph(rng, case)
         ann = gg.draw_announcer(rng, g)
         inv_lam = 1.0 if case % 3 else 1 / 0.7
-        graph_args = (g.indptr, g.indices)
+        graph_args = (g.indptr, g.indices, g.relay_mask)
         cluster_args = (g.cluster_mask, g.cluster, g.cluster_neighborhood)
         for kern in scalar:
-            forwards, front, uninformed, out_times, n_informed = start_state(g, ann)
+            forwards, state, out_times, n_informed = start_state(g, ann)
             t, stream = 0.0, np.random.default_rng(case)
             draws = kernels._delays(stream, int(rng.integers(1, 8)), inv_lam)
             while True:
                 status, pos, n_informed, t = kern(
-                    *graph_args, forwards, *cluster_args, front, uninformed,
-                    n_informed, t, draws, out_times,
+                    *graph_args, *cluster_args, state, n_informed, t, draws, out_times,
                 )
                 seen[status] += 1
-                check_state(g, forwards, front, uninformed, out_times, n_informed)
+                check_state(g, forwards, state, out_times, n_informed)
                 if status != kernels.STATUS_REFILL:
                     break
                 draws = np.concatenate(
                     (draws[pos:], kernels._delays(stream, int(rng.integers(1, 8)), inv_lam)))
-        forwards, front, uninformed, out_times, n_informed = start_state(g, ann)
+        forwards, state, out_times, n_informed = start_state(g, ann)
         stream = np.random.default_rng(case)
         status, used, n_informed, t = kernels._vector_kernel(
-            g.relay_views, *cluster_args, front, uninformed, n_informed, 0.0,
+            g.relay_views, *cluster_args, state, n_informed, 0.0,
             lambda: stream.random(int(rng.integers(1, 8))), out_times, inv_lam,
         )
         vector_seen[status] += 1
-        check_state(g, forwards, front, uninformed, out_times, n_informed)
+        check_state(g, forwards, state, out_times, n_informed)
         assert type(used) is int
         assert t == out_times.max()
     assert min(seen.values()) >= 20, seen
@@ -865,12 +882,12 @@ def test_numpy_kernel_results_do_not_depend_on_the_draw_size(chunk):
     for seed, (g, ann, lam) in enumerate(runs):
         expected, expected_used = run_dissemination(g, ann, 1.0 / lam, seed,
                                                     policy="reachable-only", backend="numpy")
-        _, front, uninformed, out_times, n_informed = start_state(g, ann)
+        _, state, out_times, n_informed = start_state(g, ann)
         stream = np.random.default_rng(seed)
         draw = partial(stream.random, chunk or 8 * g.node_count)
         _, used, _, _ = kernels._vector_kernel(
             g.relay_views, g.cluster_mask, g.cluster, g.cluster_neighborhood,
-            front, uninformed, n_informed, 0.0, draw, out_times, 1.0 / lam,
+            state, n_informed, 0.0, draw, out_times, 1.0 / lam,
         )
         assert out_times.tobytes() == expected.tobytes(), seed
         assert used == expected_used
