@@ -317,7 +317,8 @@ def convergence_time(spec: TopologySpec, degenerate: str = "error") -> Convergen
     )
 
 
-def _round_half_up(value: float) -> int:
+def round_half_up(value: float) -> int:
+    """value rounded to the nearest integer, halves up (not to even)."""
     return int(math.floor(value + 0.5))
 
 
@@ -349,8 +350,8 @@ def core_convergence_time(spec: TieredCore) -> CoreEstimate:
                 f"transit rate n1 * p12 * lam has no finite reciprocal: "
                 f"lam {lam}, p12 {spec.p12}, n1 {spec.n1}"
             )
-    m_peer = _round_half_up(spec.n2 * spec.p22)
-    m_rest = _round_half_up(spec.n2 * (1.0 - spec.p22))
+    m_peer = round_half_up(spec.n2 * spec.p22)
+    m_rest = round_half_up(spec.n2 * (1.0 - spec.p22))
 
     if m_peer > 1:
         t_peering = convergence_time(

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .analytic import convergence_time, core_convergence_time
+from .analytic import convergence_time, core_convergence_time, round_half_up
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .graphs import Graph, draw_attempt, ensure_reachable, gen_power_law_degrees
 from .model import ConfigModel, ModelParams, TieredCore, TopologySpec, degree_stats
@@ -62,7 +62,7 @@ def fraction_to_k(n_total: int, fraction: float) -> int:
     """Map a penetration label k/N onto a valid cluster size."""
     if not 0.0 <= fraction <= 1.0:
         raise DomainError(f"penetration fraction must be in [0, 1], got {fraction}")
-    return min(n_total, max(1, int(math.floor(n_total * fraction + 0.5))))
+    return min(n_total, max(1, round_half_up(n_total * fraction)))
 
 
 def power_law_config_spec(

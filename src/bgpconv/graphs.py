@@ -2,15 +2,14 @@
 
 All generators are deterministic given (parameters, seed) and produce
 simple undirected graphs in CSR form.  Tiered-core graphs additionally
-carry per-edge kind labels and per-node tier roles; flat graphs carry a
-uniform role.  The SDN cluster is stored on the graph so simulation and
-reachability can treat it as a single super-node (informing any member
-informs all).
+carry per-node tier roles, from which their edge kinds follow; flat
+graphs carry a uniform role.  The SDN cluster is stored on the graph so
+simulation and reachability can treat it as a single super-node
+(informing any member informs all).
 """
 
 from __future__ import annotations
 
-import logging
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -28,8 +27,6 @@ from .model import (
     TieredCore,
     TopologySpec,
 )
-
-log = logging.getLogger(__name__)
 
 ROLE_FLAT = 0
 ROLE_TIER1 = 1
@@ -53,8 +50,8 @@ class Graph:
     """Immutable simple undirected graph in CSR form.
 
     ``indices[indptr[u]:indptr[u+1]]`` lists u's neighbors in ascending
-    order.  ``kinds`` (tiered graphs only) labels each directed
-    half-edge in the same alignment as ``indices``.
+    order.  ``roles``, the one record of the tiers, is ROLE_FLAT on every
+    node of a flat graph and ROLE_TIER1 or ROLE_TIER2 on a tiered one.
     """
 
     node_count: int
@@ -62,7 +59,6 @@ class Graph:
     indices: np.ndarray
     roles: np.ndarray
     cluster: np.ndarray
-    kinds: np.ndarray | None = None
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
@@ -77,7 +73,22 @@ class Graph:
 
     @property
     def is_tiered(self) -> bool:
-        return self.kinds is not None
+        # from_edges gives a tiered graph nodes, none of them ROLE_FLAT
+        return bool(self.roles.size) and int(self.roles[0]) != ROLE_FLAT
+
+    @cached_property
+    def kinds(self) -> np.ndarray | None:
+        """Read-only kind of each half-edge, aligned with indices, built
+        once from the roles as kind = role_u + role_v - 1 (peer11, transit12
+        or peer22 between two tier-1, mixed or two tier-2 endpoints); None
+        on a flat graph."""
+        if not self.is_tiered:
+            return None
+        kinds = self.roles.repeat(self.degrees)
+        kinds += self.roles.take(self.indices)
+        kinds -= np.uint8(1)
+        kinds.flags.writeable = False
+        return kinds
 
     @cached_property
     def cluster_mask(self) -> np.ndarray:
@@ -117,7 +128,6 @@ def from_edges(
     node_count: int,
     u: np.ndarray,
     v: np.ndarray,
-    kinds: np.ndarray | None = None,
     roles: np.ndarray | None = None,
     cluster: Iterable[int] = (),
 ) -> Graph:
@@ -125,19 +135,17 @@ def from_edges(
 
     The one check of the graph invariants: every Graph the package
     builds comes from here.  Rejects self loops, out-of-range endpoints
-    and duplicate edges (in that order), then misaligned roles or kinds,
-    tiered roles outside tier-1 and tier-2, kinds that disagree with the
-    roles, and cluster nodes that are out of range, repeated, or (on
-    tiered graphs) outside tier-1, rather than repairing them;
-    generators are responsible for producing simple edge sets.
+    and duplicate edges (in that order), then misaligned roles, an empty
+    tiered graph, tiered roles outside tier-1 and tier-2, and cluster
+    nodes that are out of range, repeated, or (on tiered graphs) outside
+    tier-1, rather than repairing them; generators are responsible for
+    producing simple edge sets.
 
     The half-edges are the keys src * N + dst of (u, v) and (v, u),
     sorted in place.  indptr comes from the degree counts of the
     endpoints, and dst from the sorted keys less each row's base src * N.
-    Passing roles or kinds makes the graph tiered.  Its half-edge kinds
-    come from the roles, kind = role_u + role_v - 1: peer11 between
-    tier-1 nodes, transit12 across, peer22 between tier-2 nodes.  Kinds
-    passed in must agree with them.
+    Passing roles makes the graph tiered; its edge kinds follow from
+    the roles (Graph.kinds).
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -160,34 +168,24 @@ def from_edges(
     # and sorting puts equal keys side by side
     if (key[1:] == key[:-1]).any():
         raise DomainError("duplicate edges are not allowed")
-    tiered = roles is not None or kinds is not None
+    tiered = roles is not None
     if roles is None:
         roles = np.full(node_count, ROLE_FLAT, dtype=np.uint8)
     roles = np.asarray(roles, dtype=np.uint8)
     if roles.shape != (node_count,):
         raise DomainError("roles array misaligned with nodes")
-    if kinds is not None:
-        kinds = np.asarray(kinds, dtype=np.uint8)
-        if kinds.shape != u.shape:
-            raise DomainError("kinds array misaligned with edges")
     if tiered:
+        if not node_count:
+            raise DomainError("a tiered graph needs at least one node")
         # tier-1 -> 0 and tier-2 -> 1; any other role wraps past 1
-        tier = roles - np.uint8(1)
-        if (tier > 1).any():
+        if (roles - np.uint8(1) > 1).any():
             raise DomainError("tiered graph nodes must be tier-1 or tier-2")
-        if kinds is not None and (tier.take(u) + tier.take(v) != kinds - np.uint8(1)).any():
-            raise DomainError("edge kinds disagree with the endpoint roles")
     # the sorted keys run row by row, so degrees give the row bounds
     degrees = np.bincount(u, minlength=node_count) + np.bincount(v, minlength=node_count)
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     dst = key  # the keys are not needed past here
     dst -= (np.arange(node_count, dtype=np.int64) * n).repeat(degrees)
-    half_kinds = None
-    if tiered:
-        half_kinds = roles.repeat(degrees)
-        half_kinds += roles.take(dst)
-        half_kinds -= np.uint8(1)
     members = sorted(int(c) for c in cluster)
     if members and (members[0] < 0 or members[-1] >= node_count):
         raise DomainError("cluster node out of range")
@@ -202,7 +200,6 @@ def from_edges(
         indices=dst,
         roles=roles,
         cluster=cluster_arr,
-        kinds=half_kinds,
     )
 
 
@@ -481,7 +478,11 @@ class ReachableDraw:
     graph: Graph
     announcer: int
     attempts: int       # draws consumed, including the successful one
-    failures: int       # draws rejected for unreachable nodes
+
+    @property
+    def failures(self) -> int:
+        """Draws rejected for unreachable nodes: all but the last."""
+        return self.attempts - 1
 
 
 def draw_announcer(rng: np.random.Generator, graph: Graph) -> int:
@@ -508,25 +509,17 @@ def ensure_reachable(
 
     Tries attempts 0, 1, ... of draw_attempt, so the result is
     deterministic given the arguments.  Raises
-    UnreachableTopologyError after max_retries failures.  The failure
-    count is returned (and logged) so callers can record the rejection
-    rate of the underlying ensemble.
+    UnreachableTopologyError after max_retries failures.  The attempt
+    count is returned so callers can record the rejection rate of the
+    underlying ensemble.
     """
-    failures = 0
     last_reached = 0
     node_count = 0
     for attempt in range(max_retries):
         graph, chosen = draw_attempt(spec, seed, attempt)
         reached = reachable_set(graph, chosen)
         if reached.all():
-            if failures:
-                log.debug(
-                    "ensure_reachable: %d rejected draws before success", failures
-                )
-            return ReachableDraw(
-                graph=graph, announcer=chosen, attempts=attempt + 1, failures=failures
-            )
-        failures += 1
+            return ReachableDraw(graph=graph, announcer=chosen, attempts=attempt + 1)
         last_reached = int(reached.sum())
         node_count = graph.node_count
     raise UnreachableTopologyError(
@@ -578,8 +571,10 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
 
     Roles are reconstructed from edge kinds: peer11 endpoints and the
     first endpoint of a transit12 edge are tier-1; peer22 endpoints and
-    the second transit12 endpoint are tier-2.  Files without kinds load
-    as flat graphs.  Nodes no kind touches default to tier-2.
+    the second transit12 endpoint are tier-2.  A node given both tiers is
+    a DomainError, so every kind agrees with the roles the graph keeps.
+    Files without kinds load as flat graphs.  Nodes no kind touches
+    default to tier-2.
     """
     own = isinstance(src, str)
     fh = open(src, "r", encoding="ascii") if own else src
@@ -595,7 +590,7 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
             raise DomainError(f"node count {n} exceeds {MAX_NODES}")
         us: list[int] = []
         vs: list[int] = []
-        kind_list: list[int] = []
+        labeled = 0
         tier1: set[int] = set()
         tier2: set[int] = set()
         cluster: list[int] = []
@@ -617,7 +612,7 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
                 kind = KIND_CODES.get(parts[2])
                 if kind is None:
                     raise DomainError(f"unknown edge kind {parts[2]!r}")
-                kind_list.append(kind)
+                labeled += 1
                 if kind == KIND_PEER11:
                     tier1.update((a, b))
                 elif kind == KIND_PEER22:
@@ -625,24 +620,21 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
                 else:
                     tier1.add(a)
                     tier2.add(b)
-            else:
-                kind_list.append(0)
         if not saw_cluster:
             raise DomainError("missing cluster line")
-        tiered = any(k != 0 for k in kind_list)
-        if tiered and 0 in kind_list:
+        if 0 < labeled < len(us):
             raise DomainError("mixed labeled and unlabeled edges")
         if tier1 & tier2:
             raise DomainError(f"conflicting roles for nodes {sorted(tier1 & tier2)}")
         u_arr = np.asarray(us, dtype=np.int64)
         v_arr = np.asarray(vs, dtype=np.int64)
         try:
-            if tiered:
+            roles = None
+            if labeled:
                 roles = np.full(n, ROLE_TIER2, dtype=np.uint8)
-                roles[sorted(tier1)] = ROLE_TIER1
-                kinds = np.asarray(kind_list, dtype=np.uint8)
-                return from_edges(n, u_arr, v_arr, kinds=kinds, roles=roles, cluster=cluster)
-            return from_edges(n, u_arr, v_arr, cluster=cluster)
+                # an endpoint out of range is left for from_edges to reject
+                roles[[t for t in tier1 if 0 <= t < n]] = ROLE_TIER1
+            return from_edges(n, u_arr, v_arr, roles=roles, cluster=cluster)
         except MemoryError:
             raise DomainError(f"node count {n} does not fit in memory") from None
     except UnicodeDecodeError as exc:

@@ -8,8 +8,8 @@ consecutive segments of one uniform stream in fixed-size blocks, maps
 all hits to endpoints through one table of row starts (cached per
 tuple of layer shapes), reads the CSR arrays back from half-edge keys
 sorted in place (row bounds from the endpoints' degree counts, each
-neighbor as its key less its row's base), takes each half-edge's kind
-from its endpoints' roles, and finds reachable nodes by a
+neighbor as its key less its row's base), derives each half-edge's kind
+from its endpoints' roles in one vectorized step, and finds reachable nodes by a
 level-synchronous breadth-first search that stops once every node is
 seen.  The functions here do the same work one row, one index table or
 one 2-D draw per layer, and one node at a time, so the equivalence
@@ -79,13 +79,6 @@ def gen_tiered_core_triu(spec: TieredCore, seed) -> Graph:
 
     u = np.concatenate([e11_u, e12_u, e22_u])
     v = np.concatenate([e11_v, e12_v, e22_v])
-    kinds = np.concatenate(
-        [
-            np.full(e11_u.size, KIND_PEER11, dtype=np.uint8),
-            np.full(e12_u.size, KIND_TRANSIT12, dtype=np.uint8),
-            np.full(e22_u.size, KIND_PEER22, dtype=np.uint8),
-        ]
-    )
     roles = np.concatenate(
         [
             np.full(n1, ROLE_TIER1, dtype=np.uint8),
@@ -93,7 +86,7 @@ def gen_tiered_core_triu(spec: TieredCore, seed) -> Graph:
         ]
     )
     cluster = _sample_cluster(rng, n1, spec.k1)
-    return from_edges(n, u, v, kinds=kinds, roles=roles, cluster=cluster)
+    return from_edges(n, u, v, roles=roles, cluster=cluster)
 
 
 def relaying_nodes(graph: Graph, announcer: int) -> np.ndarray:

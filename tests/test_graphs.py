@@ -22,6 +22,7 @@ from bgpconv.graphs import (
     KIND_TRANSIT12,
     ROLE_TIER1,
     ROLE_TIER2,
+    draw_attempt,
     ensure_reachable,
     export_graph,
     from_edges,
@@ -322,9 +323,8 @@ def test_reachable_set_respects_forwarding_rules():
     # relay, so 3 stays dark even though an undirected path exists.
     u = np.array([0, 1, 2])
     v = np.array([1, 2, 3])
-    kinds = np.array([KIND_TRANSIT12, KIND_PEER22, KIND_PEER22], dtype=np.uint8)
     roles = np.array([ROLE_TIER1, ROLE_TIER2, ROLE_TIER2, ROLE_TIER2], dtype=np.uint8)
-    g = from_edges(4, u, v, kinds=kinds, roles=roles, cluster=np.array([0]))
+    g = from_edges(4, u, v, roles=roles, cluster=np.array([0]))
     reached = reachable_set(g, 1)
     assert reached[0] and reached[1] and reached[2]
     assert not reached[3]
@@ -338,14 +338,17 @@ def test_neighborhood_concatenates_adjacency_lists():
     assert neighborhood(g, np.array([], dtype=np.int64)).size == 0
 
 
-@pytest.mark.parametrize("case", ["mesh", "poisson", "tiered", "import-tiered"])
+SMALL_GRAPHS = {
+    "mesh": lambda: gen_full_mesh(ModelParams(12, 3), 0),
+    "poisson": lambda: gen_poisson(ModelParams(80, 4), 0.05, 1),
+    "tiered": lambda: gen_tiered_core(TieredCore(6, 30, 2, 0.5, 0.3, 0.2), 2),
+    "import-tiered": lambda: exported_tiered(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_GRAPHS))
 def test_relay_views_are_the_rows_of_the_relaying_nodes(case):
-    g = {
-        "mesh": lambda: gen_full_mesh(ModelParams(12, 3), 0),
-        "poisson": lambda: gen_poisson(ModelParams(80, 4), 0.05, 1),
-        "tiered": lambda: gen_tiered_core(TieredCore(6, 30, 2, 0.5, 0.3, 0.2), 2),
-        "import-tiered": exported_tiered,
-    }[case]()
+    g = SMALL_GRAPHS[case]()
     views = g.relay_views
     assert len(views) == g.node_count
     for v, view in enumerate(views):
@@ -360,6 +363,19 @@ def test_relay_views_are_the_rows_of_the_relaying_nodes(case):
     np.testing.assert_array_equal(mask, g.roles != ROLE_TIER2)
     assert mask.dtype == np.bool_ and not mask.flags.writeable
     assert g.relay_mask is mask
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_GRAPHS))
+def test_kinds_are_derived_from_the_roles_once(case):
+    g = SMALL_GRAPHS[case]()
+    check_graph(g)  # each half-edge's kind against its endpoints' roles
+    kinds = g.kinds
+    if not g.is_tiered:
+        assert kinds is None
+        return
+    assert kinds.dtype == np.uint8 and kinds.shape == g.indices.shape
+    assert not kinds.flags.writeable
+    assert g.kinds is kinds
 
 
 def test_reachable_set_matches_depth_first_reference():
@@ -393,6 +409,21 @@ def test_ensure_reachable_full_mesh_first_try():
     draw = ensure_reachable(FullMesh(ModelParams(25, 2, 1.0)), 11)
     assert draw.attempts == 1 and draw.failures == 0
     assert reachable_set(draw.graph, draw.announcer).all()
+
+
+def test_ensure_reachable_failures_are_the_rejected_attempts():
+    # near the connectivity threshold most seeds reject some draws; every
+    # attempt before the returned one must leave a node dark
+    spec = Poisson(ModelParams(60, 1, 1.0), 1 / 15)
+    rejected = 0
+    for seed in range(6):
+        draw = ensure_reachable(spec, seed)
+        assert draw.failures == draw.attempts - 1
+        for attempt in range(draw.failures):
+            graph, announcer = draw_attempt(spec, seed, attempt)
+            assert not reachable_set(graph, announcer).all()
+        rejected += draw.failures
+    assert rejected
 
 
 def test_ensure_reachable_gives_up_with_diagnostics():
@@ -481,6 +512,8 @@ def test_import_rejects_malformed_input():
         import_graph(io.StringIO("n 3\n0 1 peer11\n1 2\ncluster 0\n"))  # mixed labels
     with pytest.raises(DomainError):
         import_graph(io.StringIO("n 3\n0 1 sideways\ncluster 0\n"))  # unknown kind
+    with pytest.raises(DomainError, match="edge endpoint out of range"):
+        import_graph(io.StringIO("n 3\n0 9 peer11\ncluster 0\n"))  # tiered, out of range
 
 
 def test_import_reports_a_node_count_that_does_not_fit_in_memory(monkeypatch):
@@ -506,29 +539,9 @@ def tiered_path():
     """from_edges arguments for the path 0 - 1 - 2 - 3 with tier-1 {0, 1}:
     one edge of each kind."""
     return dict(node_count=4, u=np.array([0, 1, 2]), v=np.array([1, 2, 3]),
-                kinds=np.array([KIND_PEER11, KIND_TRANSIT12, KIND_PEER22], dtype=np.uint8),
                 roles=np.array([ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, ROLE_TIER2],
                                dtype=np.uint8),
                 cluster=[0])
-
-
-@pytest.mark.parametrize(
-    "kinds",
-    [
-        [KIND_PEER22, KIND_TRANSIT12, KIND_PEER22],
-        [KIND_PEER11, KIND_PEER11, KIND_PEER22],
-        [KIND_PEER11, KIND_TRANSIT12, KIND_TRANSIT12],
-        [KIND_PEER11, KIND_TRANSIT12, 0],
-        [KIND_PEER11, KIND_TRANSIT12, 255],
-    ],
-    ids=["peer22-on-tier-1-pair", "peer11-across-tiers", "transit-within-tier-2",
-         "kind-0", "kind-255"],
-)
-def test_from_edges_rejects_kinds_that_disagree_with_the_roles(kinds):
-    case = tiered_path()
-    case["kinds"] = np.array(kinds, dtype=np.uint8)
-    with pytest.raises(DomainError, match="edge kinds disagree with the endpoint roles"):
-        from_edges(**case)
 
 
 @pytest.mark.parametrize(
@@ -536,47 +549,35 @@ def test_from_edges_rejects_kinds_that_disagree_with_the_roles(kinds):
     [
         dict(roles=[ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, 0]),
         dict(roles=[ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, 3]),
-        dict(roles=None, cluster=[]),
-        dict(roles=[ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, 0], kinds=None),
+        dict(roles=[0, 0, 0, 0]),
     ],
-    ids=["flat-endpoint", "role-3-endpoint", "kinds-without-roles", "roles-without-kinds"],
+    ids=["flat-endpoint", "role-3-endpoint", "all-flat-roles"],
 )
 def test_from_edges_rejects_tiered_roles_outside_the_tiers(change):
-    # kinds passed with roles=None meet the flat roles of an untiered graph
+    # roles passed in make the graph tiered, even when every one is flat
     case = tiered_path()
     case.update(change)
-    if case["roles"] is not None:
-        case["roles"] = np.array(case["roles"], dtype=np.uint8)
+    case["roles"] = np.array(case["roles"], dtype=np.uint8)
     with pytest.raises(DomainError, match="tiered graph nodes must be tier-1 or tier-2"):
         from_edges(**case)
 
 
 def test_from_edges_takes_half_edge_kinds_from_the_roles():
-    with_kinds = from_edges(**tiered_path())
-    assert with_kinds.kinds.tolist() == [KIND_PEER11, KIND_PEER11, KIND_TRANSIT12,
-                                         KIND_TRANSIT12, KIND_PEER22, KIND_PEER22]
-    # roles alone make the graph tiered, with the same kinds
-    without = from_edges(**{**tiered_path(), "kinds": None})
-    assert without.is_tiered
-    np.testing.assert_array_equal(without.kinds, with_kinds.kinds)
+    g = from_edges(**tiered_path())
+    assert g.is_tiered
+    assert g.kinds.tolist() == [KIND_PEER11, KIND_PEER11, KIND_TRANSIT12,
+                                KIND_TRANSIT12, KIND_PEER22, KIND_PEER22]
+    flat = from_edges(**{**tiered_path(), "roles": None})
+    assert not flat.is_tiered and flat.kinds is None
 
 
-@pytest.mark.parametrize(
-    "u,v,message",
-    [
-        ([0, 1, 2, 3], [1, 2, 3, 3], "self loops"),
-        ([0, 1, 2, 0], [1, 2, 3, 4], "edge endpoint out of range"),
-        ([0, 1, 2, -1], [1, 2, 3, 0], "edge endpoint out of range"),
-        ([0, 1, 2, 2], [1, 2, 3, 1], "duplicate edges"),
-    ],
-)
-def test_from_edges_checks_the_edge_set_before_the_kinds(u, v, message):
-    # the added edge is labeled peer11, which its endpoints' roles contradict
-    case = tiered_path()
-    case.update(u=np.array(u), v=np.array(v),
-                kinds=np.append(case["kinds"], KIND_PEER11).astype(np.uint8))
-    with pytest.raises(DomainError, match=message):
-        from_edges(**case)
+def test_from_edges_rejects_an_empty_tiered_graph():
+    # roles cannot mark an empty graph tiered, so from_edges refuses one;
+    # an empty flat graph is fine
+    with pytest.raises(DomainError, match="a tiered graph needs at least one node"):
+        from_edges(0, [], [], roles=[])
+    empty = from_edges(0, [], [])
+    assert not empty.is_tiered and empty.kinds is None and empty.edge_count == 0
 
 
 def test_from_edges_rejects_roles_of_the_wrong_length():
@@ -590,9 +591,8 @@ def test_from_edges_rejects_roles_of_the_wrong_length():
 def edge_sets(draw, tiered=None):
     """from_edges arguments for a random simple graph, flat or tiered.
 
-    Tiered graphs put tier-1 first, label each edge by its endpoints'
-    tiers and draw the cluster from tier-1; edges come in random order
-    and orientation.
+    Tiered graphs put tier-1 first and draw the cluster from tier-1;
+    edges come in random order and orientation.
     """
     if tiered is None:
         tiered = draw(st.booleans())
@@ -602,18 +602,14 @@ def edge_sets(draw, tiered=None):
                           unique_by=lambda e: frozenset(e)))
     u = np.array([a for a, _ in pairs], dtype=np.int64)
     v = np.array([b for _, b in pairs], dtype=np.int64)
-    kinds = roles = None
+    roles = None
     pool = range(n)
     if tiered:
         n1 = draw(st.integers(1, n - 1))
         roles = np.where(np.arange(n) < n1, ROLE_TIER1, ROLE_TIER2).astype(np.uint8)
-        kinds = np.select(
-            [(u < n1) & (v < n1), (u >= n1) & (v >= n1)],
-            [KIND_PEER11, KIND_PEER22], KIND_TRANSIT12,
-        ).astype(np.uint8)
         pool = range(n1)
     cluster = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
-    return dict(node_count=n, u=u, v=v, kinds=kinds, roles=roles, cluster=cluster)
+    return dict(node_count=n, u=u, v=v, roles=roles, cluster=cluster)
 
 
 @given(edge_sets())
@@ -621,7 +617,7 @@ def edge_sets(draw, tiered=None):
 def test_from_edges_output_passes_the_reference_check(case):
     graph = from_edges(**case)
     check_graph(graph)
-    assert graph.is_tiered == (case["kinds"] is not None)
+    assert graph.is_tiered == (case["roles"] is not None)
     src = np.repeat(np.arange(graph.node_count), graph.degrees)
     built = {(int(a), int(b)) for a, b in zip(src, graph.indices) if a < b}
     assert built == {(min(a, b), max(a, b)) for a, b in zip(case["u"], case["v"])}
@@ -631,8 +627,6 @@ def test_from_edges_output_passes_the_reference_check(case):
 def _add_edge(case, a, b):
     case["u"] = np.append(case["u"], a)
     case["v"] = np.append(case["v"], b)
-    if case["kinds"] is not None:
-        case["kinds"] = np.append(case["kinds"], KIND_PEER11)
 
 
 # each defect, and the message from_edges rejects it with
@@ -643,8 +637,6 @@ DEFECTS = {
     "cluster-node-out-of-range": "cluster node out of range",
     "repeated-cluster-node": "repeated cluster node",
     "tiered-cluster-outside-tier-1": "must lie in tier-1",
-    "misaligned-kinds": "misaligned",
-    "kinds-disagree-with-roles": "edge kinds disagree with the endpoint roles",
     "tiered-role-outside-the-tiers": "tiered graph nodes must be tier-1 or tier-2",
 }
 
@@ -653,8 +645,7 @@ DEFECTS = {
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_from_edges_rejects_each_malformed_edge_set(defect, data):
-    tiered = True if defect in ("tiered-cluster-outside-tier-1", "misaligned-kinds",
-                                "kinds-disagree-with-roles",
+    tiered = True if defect in ("tiered-cluster-outside-tier-1",
                                 "tiered-role-outside-the-tiers") else None
     case = data.draw(edge_sets(tiered=tiered))
     n = case["node_count"]
@@ -683,17 +674,6 @@ def test_from_edges_rejects_each_malformed_edge_set(defect, data):
         roles[data.draw(st.integers(0, n - 1))] = data.draw(
             st.sampled_from([0, 3, 128, 255]))
         case["roles"] = roles
-    elif defect == "kinds-disagree-with-roles":
-        assume(case["u"].size)
-        i = data.draw(st.integers(0, case["u"].size - 1))
-        kinds = case["kinds"].copy()
-        kinds[i] = data.draw(st.sampled_from(
-            [k for k in (0, KIND_PEER11, KIND_TRANSIT12, KIND_PEER22, 9) if k != kinds[i]]))
-        case["kinds"] = kinds
-    else:
-        kinds = case["kinds"]
-        longer = data.draw(st.booleans()) or not kinds.size
-        case["kinds"] = np.append(kinds, KIND_PEER11) if longer else kinds[:-1]
     with pytest.raises(DomainError, match=DEFECTS[defect]):
         from_edges(**case)
 
