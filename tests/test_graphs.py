@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 import bgpconv.graphs as gg
 from bgpconv.errors import DomainError, UnreachableTopologyError
 from bgpconv.graphs import (
+    KIND_NAMES,
     KIND_PEER11,
     KIND_PEER22,
     KIND_TRANSIT12,
+    ROLE_FLAT,
     ROLE_TIER1,
     ROLE_TIER2,
     draw_attempt,
@@ -545,6 +547,33 @@ def tiered_path():
 
 
 @pytest.mark.parametrize(
+    "kinds,message",
+    [
+        ([KIND_PEER22, KIND_TRANSIT12, KIND_PEER22], r"conflicting roles for nodes \[1\]"),
+        ([KIND_PEER11, KIND_PEER11, KIND_PEER22], r"conflicting roles for nodes \[2\]"),
+        ([KIND_PEER11, KIND_TRANSIT12, KIND_TRANSIT12], r"conflicting roles for nodes \[2\]"),
+        ([KIND_PEER11, KIND_TRANSIT12, 0], "unknown edge kind '0'"),
+        ([KIND_PEER11, KIND_TRANSIT12, 255], "unknown edge kind '255'"),
+    ],
+    ids=["peer22-on-tier-1-pair", "peer11-across-tiers", "transit-within-tier-2",
+         "kind-0", "kind-255"],
+)
+def test_import_rejects_kinds_that_disagree_with_the_roles(kinds, message):
+    # an edge-list file is the one place kinds enter: the roles are
+    # inferred from them, so a wrong label on tiered_path's edges gives
+    # some node both tiers (or names no kind at all)
+    def edge_list(labels):
+        lines = [f"{a} {b} {KIND_NAMES.get(k, k)}\n"
+                 for a, b, k in zip((0, 1, 2), (1, 2, 3), labels)]
+        return io.StringIO("n 4\n" + "".join(lines) + "cluster 0\n")
+
+    right = import_graph(edge_list([KIND_PEER11, KIND_TRANSIT12, KIND_PEER22]))
+    np.testing.assert_array_equal(right.roles, tiered_path()["roles"])
+    with pytest.raises(DomainError, match=message):
+        import_graph(edge_list(kinds))
+
+
+@pytest.mark.parametrize(
     "change",
     [
         dict(roles=[ROLE_TIER1, ROLE_TIER1, ROLE_TIER2, 0]),
@@ -569,6 +598,26 @@ def test_from_edges_takes_half_edge_kinds_from_the_roles():
                                 KIND_TRANSIT12, KIND_PEER22, KIND_PEER22]
     flat = from_edges(**{**tiered_path(), "roles": None})
     assert not flat.is_tiered and flat.kinds is None
+
+
+@pytest.mark.parametrize(
+    "u,v,message",
+    [
+        ([0, 1, 2, 3], [1, 2, 3, 3], "self loops"),
+        ([0, 1, 2, 0], [1, 2, 3, 4], "edge endpoint out of range"),
+        ([0, 1, 2, -1], [1, 2, 3, 0], "edge endpoint out of range"),
+        ([0, 1, 2, 2], [1, 2, 3, 1], "duplicate edges"),
+    ],
+)
+def test_from_edges_checks_the_edge_set_before_the_kinds(u, v, message):
+    # the kinds follow from the roles, and node 3 is given a flat role,
+    # which a tiered graph rejects: the edge-set defect must be reported
+    # first, before any role is read
+    case = tiered_path()
+    case["roles"][3] = ROLE_FLAT
+    case.update(u=np.array(u), v=np.array(v))
+    with pytest.raises(DomainError, match=message):
+        from_edges(**case)
 
 
 def test_from_edges_rejects_an_empty_tiered_graph():
