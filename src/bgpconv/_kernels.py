@@ -10,13 +10,18 @@ Exp(lambda * frontier_size).
 
 Two interchangeable backends produce bit-identical results: a compiled
 kernel (numba, the default whenever numba imports) and a numpy
-fallback.  Identity holds because both consume the same stream of
-uniforms u in ascending node-id order within each step, give each draw
-the same delay, the IEEE value of -log1p(-u) * (1/lambda) computed by
-_exponentials (the product skipped when 1/lambda is 1), take the same
-winner, and sum the winning delays in the same order.  Selection is
-via the BGPCONV_BACKEND environment variable ("numba", "numpy", or
-"auto") or an explicit argument taking the same names.
+fallback.  Identity holds because both read the same stream of uniforms
+in ascending node-id order within each step and pick each step's winner
+by the same rule, and one function turns the winners into times.
+Selection is via the BGPCONV_BACKEND environment variable ("numba",
+"numpy", or "auto") or an explicit argument taking the same names.
+
+Uniforms in, winners out, one converter.  A step's winner is the first
+smallest uniform of its slice: the delay -log1p(-u)/lambda rises with u,
+so that is the earliest clock of the process, and comparing rounded
+delays could only disagree on a rounding tie.  A kernel records each
+step's winner node and uniform; _write_times alone computes delays (one
+_exponentials batch) and sums them in step order.
 
 Kernel contract: run_dissemination informs the origin and owns the
 run's one Generator.  The state is one byte per node: 0 informed, 1
@@ -30,17 +35,18 @@ uninformed, so after a relaying node is informed, lighting its
 uninformed neighbors sets the frontier exactly.  Every SDN cluster
 member relays (a tiered cluster lies in tier-1), so the merged
 cluster's neighborhood is one precomputed gather.  A kernel takes the
-graph, (state, n_informed, t), its draws and out_times, runs only the
-event loop, and returns (status, draws used, n_informed, t) with the
-state as above.  STATUS_OK: every node is informed.  STATUS_STUCK: the
-frontier is empty.
+graph, (state, n_informed), its uniforms and the length-n nodes and wins
+arrays, runs only the event loop, writes step k's winner and uniform to
+nodes[k] and wins[k], and returns (status, draws used, n_informed,
+steps) with the state as above.  STATUS_OK: every node is informed.
+STATUS_STUCK: the frontier is empty.
 
 The numba kernel reads the graph as its CSR arrays and relay_mask, and
-delays from a buffer of 8n, converted a chunk at a time.  When the
-buffer runs short it returns STATUS_REFILL, where pos is where the
-unfinished step began and the state is as it was there;
-run_dissemination calls it again on the unused draws followed by the
-next chunk of the same stream.
+uniforms from a buffer of 8n.  It takes the steps recorded so far and
+returns the new count.  When the buffer runs short it returns
+STATUS_REFILL, where pos is where the unfinished step began and the
+state is as it was there; run_dissemination calls it again on the
+unused draws followed by the next chunk of the same stream.
 
 The numpy kernel runs a whole dissemination in one call.  It reads the
 graph as Graph.relay_views: a memoryview of each relaying node's CSR
@@ -56,34 +62,6 @@ finds the frontier holding every uninformed node, it stays so
 other members), so such a step skips the neighbor scan.  A cluster hit,
 once per run at most, updates the state by numpy gathers and rebuilds
 the list from it.
-
-Winners on uniforms (numpy kernel): a step keeps only its argmin, so the
-kernel picks it on the uniforms, records the winner's node and uniform,
-and at the end of the run converts the recorded winners in one batch
-(the same ufuncs, on a contiguous array) and writes their times by one
-sequential cumsum seeded with t.  The uniforms' first-occurrence argmin
-is the delays' whenever the delay map d is strictly increasing from the
-slice minimum u_j to every larger point of the grid k * 2**-53 that
-rng.random draws from.  Let g(u) = -ln(1 - u) and e(u) its value from
-log1p, which errs by less than one ulp (faithful rounding; the tests pin
-this), and let u_j < 7/32, so g(u_j) < 0.247 and e(u_j) < 1/4.  For a
-grid point v > u_j, g(v) - g(u_j) >= v - u_j >= 2**-53 because g' >= 1.
-If g(v) < 1/4 each rounding errs by less than 2**-55, so e(v) - e(u_j) >
-2**-54 >= 2 ulp(e(u_j)); otherwise e(v) >= 1/4 and the gap is larger.
-With c = 1/lambda, c times two ulps of e(u_j) is at least one ulp of
-c * e(u_j), and more than 1.5 where c * e(u_j) lies within half an ulp
-below a power of two, so rounding the products to nearest keeps them
-strictly ordered while they are normal.  Every nonzero e is at least
-2**-53, so c >= 2**-969 keeps every nonzero product at least 2**-1022.
-No upper bound on c is needed: d(u_j) <= c/4 is finite, and a product
-that overflows is inf, which is larger.  (From u = 1 - exp(-1/4), about
-0.2212, e(u) >= 1/4, where a log1p that is only faithful can leave two
-adjacent grid points one ulp apart, and a c with a mantissa near 2 could
-round their products to one value; so the bound is 7/32, below that.)
-A step whose slice holds two or more draws with u_j >= 7/32, and every
-such step when c < 2**-969, therefore evaluates the slice's delays and
-takes their argmin, as the numba kernel does.  A step whose delays all
-overflow takes its first node in both kernels.
 """
 
 from __future__ import annotations
@@ -133,31 +111,30 @@ def active_backend() -> str:
 
 def _scalar_kernel(
     indptr, indices, relay_mask, is_cluster, cluster, cluster_nbrs,
-    state, n_informed, t, draws, out_times,
+    state, n_informed, steps, draws, nodes, wins,
 ):
     n = state.shape[0]
     pos = 0
     while n_informed < n:
         step_start = pos
-        best = np.inf
+        best = 2.0  # above every uniform, so a step's first draw is taken
         best_node = -1
         for u in range(n):
             if state[u] != 2:
                 continue
             if pos >= draws.shape[0]:
-                return (STATUS_REFILL, step_start, n_informed, t)
+                return (STATUS_REFILL, step_start, n_informed, steps)
             d = draws[pos]
             pos += 1
-            # strict: earliest node id wins ties; the first draw is taken
-            # even when it is inf, as the numpy kernel's argmin takes it
-            if best_node < 0 or d < best:
+            if d < best:  # strict: earliest node id wins ties
                 best = d
                 best_node = u
         if best_node < 0:
-            return (STATUS_STUCK, pos, n_informed, t)
-        t += best
+            return (STATUS_STUCK, pos, n_informed, steps)
+        nodes[steps] = best_node
+        wins[steps] = best
+        steps += 1
         state[best_node] = 0
-        out_times[best_node] = t
         n_informed += 1
         if relay_mask[best_node]:
             for e in range(indptr[best_node], indptr[best_node + 1]):
@@ -168,12 +145,11 @@ def _scalar_kernel(
             for m in cluster:
                 if state[m] != 0:
                     state[m] = 0
-                    out_times[m] = t
                     n_informed += 1
             for v in cluster_nbrs:
                 if state[v] == 1:
                     state[v] = 2
-    return (STATUS_OK, pos, n_informed, t)
+    return (STATUS_OK, pos, n_informed, steps)
 
 
 if HAS_NUMBA:
@@ -182,23 +158,14 @@ else:  # pragma: no cover - exercised only without numba installed
     _scalar_kernel_jit = None
 
 
-# _vector_kernel picks a step's winner on its uniforms when the slice
-# minimum is below _TIE_FREE_BELOW and 1/lambda is at least
-# _TIE_FREE_SCALE (module docstring); otherwise it compares the delays
-_TIE_FREE_BELOW = 7 / 32
-_TIE_FREE_SCALE = 2.0**-969
-
-
 def _vector_kernel(
-    relays, is_cluster, cluster, cluster_nbrs,
-    state, n_informed, t, draw, out_times, inv_lam,
+    relays, is_cluster, cluster, cluster_nbrs, state, n_informed, draw, nodes, wins,
 ):
     n = state.shape[0]
-    # 0.0: no uniform is below it, so every step compares delays
-    tie_free = _TIE_FREE_BELOW if inv_lam >= _TIE_FREE_SCALE else 0.0
     rest = (state == 2).nonzero()[0].tolist()
     st, is_cluster = memoryview(state), is_cluster.tobytes()
-    nodes, wins, merges = [], [], []
+    node_out, win_out = memoryview(nodes), memoryview(wins)
+    steps = 0
     left = n - n_informed
     uniforms = draw()
     used, pos, n_draws = 0, 0, uniforms.shape[0]
@@ -214,12 +181,10 @@ def _vector_kernel(
         u = uniforms[pos:end]
         pos = end
         j = u.argmin()  # first occurrence: earliest node id wins ties
-        uj = u.item(j)
-        if uj >= tie_free and size > 1:
-            j, uj = _delay_winner(u, inv_lam)
-        wins.append(uj)
+        win_out[steps] = u.item(j)
         node = rest.pop(j)
-        nodes.append(node)
+        node_out[steps] = node
+        steps += 1
         st[node] = 0
         left -= 1
         # a frontier that held every uninformed node gains none
@@ -233,44 +198,34 @@ def _vector_kernel(
             state[new] = 0
             state[cluster_nbrs[state[cluster_nbrs] == 1]] = 2
             rest = (state == 2).nonzero()[0].tolist()
-            merges.append((len(wins) - 1, new))
             left -= new.size
-    t = _write_times(nodes, wins, merges, t, inv_lam, out_times)
     status = STATUS_STUCK if left else STATUS_OK
-    return (status, used + pos, n - left, t)
+    return (status, used + pos, n - left, steps)
 
 
-def _delay_winner(u, inv_lam):
-    """Index and uniform of the first-occurrence minimum delay of the
-    uniforms u, found by comparing the delays themselves."""
-    j = _exponentials(u.copy(), inv_lam).argmin()  # u stays uniforms
-    return j, u.item(j)
+def _write_times(nodes, wins, is_cluster, cluster, inv_lam, out_times):
+    """Write the event times of a run's winners into out_times.
 
-
-def _write_times(nodes, wins, merges, t, inv_lam, out_times):
-    """Write the event times of winners recorded since t into out_times.
-
-    wins holds the winners' uniforms in step order; a cluster hit adds
-    (the hitting winner's index in wins, the members it informed) to
-    merges.  Returns the time of the last event.
+    nodes and wins hold each step's winner and its uniform, in step
+    order; wins is overwritten with the times.  Winner k's time is the
+    sequential sum of the first k + 1 delays.  The cluster members take
+    the time of the first winner in the cluster: at most one winner can
+    lie in it, and none does when the announcer is a member.
     """
-    if not wins:
-        return t
-    times = _exponentials(np.fromiter(wins, np.float64, len(wins)), inv_lam)
-    times[0] += t
+    times = _exponentials(wins, inv_lam)
     np.add.accumulate(times, out=times)  # sequential: t += delay, winner by winner
     out_times.put(nodes, times)
-    for k, members in merges:
-        out_times[members] = times[k]
-    return times.item(-1)
+    hit = is_cluster[nodes]
+    if hit.any():
+        out_times[cluster] = times[hit.argmax()]
 
 
 def _exponentials(u: np.ndarray, inv_lam: float) -> np.ndarray:
     """Delays -log1p(-u) * inv_lam of the uniforms u, in place.
 
-    The one conversion of every draw, bulk or gathered: in place, so a
-    buffer costs one allocation, not three, and the product is skipped
-    when inv_lam is 1.
+    The one conversion from uniforms to delays: in place, so a buffer
+    costs one allocation, not three, and the product is skipped when
+    inv_lam is 1.
     """
     np.negative(u, out=u)
     np.log1p(u, out=u)
@@ -289,18 +244,6 @@ def unit_exponential_buffer(rng: np.random.Generator, length: int) -> np.ndarray
     return _exponentials(rng.random(length), 1.0)
 
 
-def _delays(rng: np.random.Generator, length: int, inv_lam: float) -> np.ndarray:
-    """The next length Exp(1/inv_lam) delays: unit draws times inv_lam.
-
-    Scaled once per chunk, in place; each entry is the same IEEE product
-    a per-draw multiply would give.
-    """
-    buf = unit_exponential_buffer(rng, length)
-    if inv_lam != 1.0:
-        buf *= inv_lam
-    return buf
-
-
 def run_dissemination(
     graph: Graph,
     announcer: int,
@@ -314,15 +257,13 @@ def run_dissemination(
     seed (int or SeedSequence) opens the run's one Generator.  The
     announcer, and its SDN cluster when it belongs to one, are informed
     at time 0 here; the backend kernel then runs the event loop on
-    draws taken 8n at a time.  The numba kernel gets each chunk as
-    delays (unit exponentials times inv_lam) and is called again at each
-    refill.  The numpy kernel runs the whole loop in one call on the
-    uniforms and inv_lam: it picks each step's winner on the uniforms and
-    converts only the winners, comparing a step's delays instead where a
-    tie in them is possible (module docstring), so both give the same
-    times.  Either way a step that runs short continues on the draws not
+    uniforms drawn 8n at a time and records each step's winner, the
+    first smallest uniform of its slice.  The numba kernel is called
+    again at each refill; the numpy kernel runs the whole loop in one
+    call.  Either way a step that runs short continues on the draws not
     yet used followed by the next chunk of the same stream, so results
-    never depend on the chunk size.
+    never depend on the chunk size.  _write_times then turns the
+    winners into times, the same for both kernels.
 
     backend is "numba", "numpy" or "auto"; None reads BGPCONV_BACKEND.
     An announcer outside [0, N), or an inv_lam that is not finite and
@@ -357,25 +298,26 @@ def run_dissemination(
     state[origin_nbrs[state[origin_nbrs] == 1]] = 2
 
     rng = np.random.default_rng(seed)
-    chunk = 8 * n
+    draw = partial(rng.random, 8 * n)
     common = (is_cluster, graph.cluster, cluster_nbrs, state)
-    n_informed, t = int(origin.size), 0.0
+    n_informed = int(origin.size)
+    # each step informs a node, so a run has fewer than n steps
+    nodes, wins = np.empty(n, dtype=np.int64), np.empty(n)
     if name == "numpy":
-        status, used, _, _ = _vector_kernel(
-            graph.relay_views, *common, n_informed, t, partial(rng.random, chunk),
-            out_times, inv_lam)
+        status, used, _, steps = _vector_kernel(
+            graph.relay_views, *common, n_informed, draw, nodes, wins)
     else:
         arrays = (graph.indptr, graph.indices, graph.relay_mask, *common)
-        draw = partial(_delays, rng, chunk, inv_lam)
-        draws, used = draw(), 0
+        draws, used, steps = draw(), 0, 0
         while True:
-            status, pos, n_informed, t = _scalar_kernel_jit(
-                *arrays, n_informed, t, draws, out_times)
+            status, pos, n_informed, steps = _scalar_kernel_jit(
+                *arrays, n_informed, steps, draws, nodes, wins)
             used += pos
             if status != STATUS_REFILL:
                 break
             # a step needs at most n draws, so every refill completes one
             draws = np.concatenate((draws[pos:], draw()))
+    _write_times(nodes[:steps], wins[:steps], is_cluster, graph.cluster, inv_lam, out_times)
     if status == STATUS_STUCK and policy == "strict":
         raise UnreachableTopologyError(
             f"announcement from node {announcer} cannot reach every node"

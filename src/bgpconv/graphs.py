@@ -489,6 +489,8 @@ def draw_announcer(rng: np.random.Generator, graph: Graph) -> int:
     """One uniform announcer: over tier-2 nodes on tiered graphs, else all nodes."""
     if graph.is_tiered:
         tier2 = np.flatnonzero(graph.roles == ROLE_TIER2)
+        if not tier2.size:
+            raise DomainError("a tiered graph with no tier-2 node has no announcer")
         return int(tier2[rng.integers(0, tier2.size)])
     return int(rng.integers(0, graph.node_count))
 

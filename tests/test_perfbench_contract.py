@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import bgpconv
+import bgpconv._kernels as kernels
 from bgpconv import cli, graphs
 from bgpconv.analytic import convergence_time
 from bgpconv.model import ConfigModel, FullMesh, ModelParams, Poisson, TieredCore
@@ -76,12 +77,19 @@ def test_every_workload_argv_parses(workloads, seed):
             assert callable(args.handler), (name, invocation.argv)
 
 
-def test_bit_identity_call_runs_on_the_numpy_kernel():
+def test_bit_identity_call_runs_on_the_numpy_kernel(monkeypatch):
     # perfbench/run.py::bit_identity makes this call, with "numba" and
-    # "numpy", only when numba imports; the numpy half runs everywhere
+    # "numpy", only when numba imports; the numpy half runs everywhere,
+    # and the "numba" half runs here on the un-jitted scalar kernel
     graph = graphs.gen_tiered_core(TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0), 1)
     times, used = bgpconv.run_dissemination(graph, 25, 1.0, 0, "numpy",
                                             "reachable-only")
     assert times.shape == (graph.node_count,) and times.dtype == np.float64
     assert times[25] == 0.0
     assert isinstance(used, int) and used > 0
+    monkeypatch.setattr(kernels, "HAS_NUMBA", True)
+    monkeypatch.setattr(kernels, "_scalar_kernel_jit", kernels._scalar_kernel)
+    scalar_times, scalar_used = bgpconv.run_dissemination(graph, 25, 1.0, 0, "numba",
+                                                          "reachable-only")
+    assert scalar_times.tobytes() == times.tobytes()
+    assert scalar_used == used

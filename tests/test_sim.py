@@ -6,8 +6,8 @@ file runs the same checks at smaller n plus the structural and
 determinism properties that must hold run by run.
 """
 
-import decimal
 import hashlib
+import io
 import math
 import re
 from functools import partial
@@ -291,6 +291,15 @@ def test_tiered_uniform_announcers_stay_in_tier2():
     assert (np.asarray(res.announcers) >= 20).all()
 
 
+def test_tiered_graph_without_tier2_has_no_uniform_announcer():
+    # import_graph reads peer11 endpoints as tier-1, so every node here is
+    # tier-1 and a uniform tier-2 announcer cannot be drawn
+    g = gg.import_graph(io.StringIO("n 3\n0 1 peer11\n1 2 peer11\ncluster 0\n"))
+    assert g.is_tiered and not (g.roles == gg.ROLE_TIER2).any()
+    with pytest.raises(DomainError, match="no tier-2 node"):
+        simulate_batch(RunConfig(g, "uniform", 1.0, 1), 2)
+
+
 def test_tiered_without_transit_cannot_converge():
     spec = TieredCore(20, 100, 1, 0.5, 0.0, 1.0, 1.0)
     g = gg.gen_tiered_core(spec, 3)
@@ -473,35 +482,18 @@ def fuzzed_graph(rng, case):
                           float(rng.uniform(0.0, 0.3)), case)
 
 
-# 1/lambda: plain rates; products that go subnormal (below 2**-969 the
-# numpy kernel compares delays on every step); and products near and past
+# 1/lambda: plain rates; products that go subnormal, where delays of
+# different uniforms round to one value; and products near and past
 # overflow (at 1.7e308 every draw above about 0.65 gives an inf delay, so
-# some steps hold only inf delays and must still inform a node)
+# some steps hold only inf delays)
 FUZZ_INV_LAMS = (1.0, 1 / 0.7, 3.0, 0.99, 1e-300, 1e-310, 1e-320, 5e-324, 1e300,
                  1e307, 1.7e308)
 
 
 @pytest.mark.filterwarnings("error")
-def test_numpy_kernel_matches_the_scalar_kernel_on_fuzzed_runs(monkeypatch, scalar_as_numba):
-    # the numpy kernel picks winners on uniforms, the un-jitted scalar
-    # kernel on delays: times (exact bytes) and draws used must agree, and
-    # the steps that compare delays (slice minimum >= 7/32, or 1/lambda
-    # below 2**-969) must have run, some of them changing the winner
-    guarded = {"bound": 0, "rate": 0, "moved": 0}
-    delay_winner = kernels._delay_winner
-
-    def watched_delay_winner(u, inv_lam):
-        j, uj = delay_winner(u, inv_lam)
-        assert u.size > 1
-        if inv_lam < kernels._TIE_FREE_SCALE:
-            guarded["rate"] += 1
-        else:
-            assert u.min() >= kernels._TIE_FREE_BELOW
-            guarded["bound"] += 1
-        guarded["moved"] += j != u.argmin()
-        return j, uj
-
-    monkeypatch.setattr(kernels, "_delay_winner", watched_delay_winner)
+def test_numpy_kernel_matches_the_scalar_kernel_on_fuzzed_runs(scalar_as_numba):
+    # the numpy kernel and the un-jitted scalar kernel: times (exact
+    # bytes) and draws used must agree
     rng = np.random.default_rng(2024)
     runs = 0
     for case in range(60):
@@ -519,8 +511,64 @@ def test_numpy_kernel_matches_the_scalar_kernel_on_fuzzed_runs(monkeypatch, scal
             assert used_np == used_sc
             runs += 1
     assert runs == 660
-    assert guarded["bound"] >= 100 and guarded["rate"] >= 100, guarded
-    assert guarded["moved"] > 0, guarded
+
+
+def replay_times(g, ann, inv_lam, seed):
+    """(times, draws used) of a run by the winner rule, in plain Python.
+
+    Draws the run's stream 8n at a time; each step takes one uniform per
+    frontier node in ascending node id, and its winner is the first
+    smallest of them.  Times are the running sum of the winners' delays.
+    """
+    n = g.node_count
+    forwards = relaying_nodes(g, ann)
+    informed = set(g.cluster.tolist() if g.cluster_mask[ann] else [ann])
+    stream = np.random.default_rng(seed)
+    buf, used, nodes, wins = [], 0, [], []
+    while True:
+        front = sorted({v for w in informed if forwards[w]
+                        for v in g.neighbors(w).tolist() if v not in informed})
+        if not front:
+            break
+        while len(buf) < len(front):
+            buf += stream.random(8 * n).tolist()
+        u, buf = buf[: len(front)], buf[len(front):]
+        used += len(front)
+        j = u.index(min(u))
+        nodes.append(front[j])
+        wins.append(u[j])
+        informed.add(front[j])
+        if g.cluster_mask[front[j]]:
+            informed.update(g.cluster.tolist())
+    times = np.full(n, -1.0)
+    times[g.cluster if g.cluster_mask[ann] else ann] = 0.0
+    sums = np.cumsum(kernels._exponentials(np.array(wins), inv_lam))
+    for k, v in enumerate(nodes):
+        times[v] = sums[k]
+        if g.cluster_mask[v]:
+            times[g.cluster] = sums[k]
+    return times, used
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("inv_lam", [5e-324, 1.7e308])
+def test_a_step_is_won_by_its_first_smallest_uniform(scalar_as_numba, inv_lam):
+    # at these scales delays of different uniforms round to one value (0,
+    # the smallest subnormal, or inf), so a rule that compared delays
+    # would pick other winners: both kernels must equal the replay
+    rng = np.random.default_rng(77)
+    for case in range(24):
+        g = fuzzed_graph(rng, case)
+        ann = gg.draw_announcer(rng, g)
+        seed = int(rng.integers(2**32))
+        # inf delays are results here; a NaN still fails as "invalid"
+        with np.errstate(over="ignore"):
+            expected, expected_used = replay_times(g, ann, inv_lam, seed)
+            for backend in ("numba", "numpy"):
+                times, used = run_dissemination(g, ann, inv_lam, seed, backend=backend,
+                                                policy="reachable-only")
+                assert times.tobytes() == expected.tobytes(), (case, backend)
+                assert used == expected_used
 
 
 def test_backend_env_selection(monkeypatch):
@@ -572,52 +620,11 @@ def test_unit_exponential_buffer_prefix_stable():
     assert (long > 0).all()
 
 
-def grid_window(center, half=64):
-    """The points k * 2**-53 (rng.random's grid) around center, ascending."""
-    k = round(center * 2.0**53)
-    return np.arange(max(k - half, 0), k + half, dtype=np.int64) * 2.0**-53
-
-
-def log1p_is_faithful(x):
-    """np.log1p(x) is one of the two doubles around the exact ln(1 + x)."""
-    got = float(np.log1p(np.array([x]))[0])
-    with decimal.localcontext(decimal.Context(prec=60)):
-        exact = (1 + decimal.Decimal(x)).ln()
-    near = float(exact)
-    if decimal.Decimal(near) == exact:
-        return got == near
-    side = math.inf if decimal.Decimal(near) < exact else -math.inf
-    return got in (near, math.nextafter(near, side))
-
-
-def test_delay_map_is_strictly_increasing_where_winners_are_picked_on_uniforms():
-    # the numpy kernel's winner on uniforms is the winner on delays where
-    # the delay map rises strictly from the slice minimum (module
-    # docstring of _kernels).  Check it on windows of the grid at each
-    # binade edge of u below 1/4, at each point where the unit delay
-    # crosses a binade edge, at the 7/32 bound and at 1/4, for plain
-    # rates and 0.99 (a mantissa near 2, the argument's tightest case),
-    # and check the faithful rounding of log1p the argument assumes
-    edges = [2.0**-k for k in range(3, 54)]
-    edges += [-math.expm1(-(2.0**-k)) for k in range(2, 54)]
-    edges += [kernels._TIE_FREE_BELOW, 0.25]
-    windows = [grid_window(c) for c in edges]
-    for inv_lam in (1.0, 1 / 0.7, 3.0, 0.99):
-        for u in windows:
-            d = kernels._exponentials(u.copy(), inv_lam)
-            assert (np.diff(d) > 0).all(), (inv_lam, u[0])
-    assert all(log1p_is_faithful(-x) for u in windows for x in u[::4].tolist())
-    # a product that overflows is inf, above the finite winner
-    u = np.array([0.9, 0.1, 0.95, 0.1])
-    with np.errstate(over="ignore"):
-        assert kernels._delay_winner(u, 1e308) == (1, 0.1)
-        assert kernels._exponentials(u.copy(), 1e308)[[0, 2]].tolist() == [math.inf] * 2
-
-
 def test_gathered_winners_convert_to_the_bulk_delays():
-    # the numpy kernel converts gathered winners, one slice or a batch at
-    # a time; each must equal the bulk buffer's value bit for bit, and
-    # the written times must be the running sum of those values
+    # _write_times converts gathered winners in one batch; each delay
+    # must equal the bulk buffer's value (times 1/lambda, one product per
+    # draw) bit for bit, and the written times must be the running sum of
+    # those values, with the cluster at its first winner's time
     bulk = unit_exponential_buffer(np.random.default_rng(31), 200_000)
     u = np.random.default_rng(31).random(200_000)
     idx = np.random.default_rng(32).integers(0, u.size, 5_000)
@@ -625,19 +632,23 @@ def test_gathered_winners_convert_to_the_bulk_delays():
     for i in idx[:300].tolist():
         assert kernels._exponentials(u[i : i + 7].copy(), 1.0)[0] == bulk[i]
     for inv_lam in (1 / 0.7, 3.0, 1e-300):
-        scaled = kernels._delays(np.random.default_rng(31), 200_000, inv_lam)
-        np.testing.assert_array_equal(kernels._exponentials(u[idx], inv_lam), scaled[idx])
-    out = np.full(u.size, -1.0)
+        np.testing.assert_array_equal(kernels._exponentials(u[idx], inv_lam),
+                                      bulk[idx] * inv_lam)
     nodes = np.unique(idx)[:2_000]
-    wins = u[nodes].tolist()
-    t = kernels._write_times(nodes.tolist(), wins, [(6, [0])], 2.5, 1.0, out)
-    running = []
-    acc = 2.5
-    for i in nodes.tolist():
-        acc += bulk[i]
-        running.append(acc)
-    assert out[nodes].tolist() == running
-    assert out[0] == running[6] and t == running[-1]
+    cluster = np.sort(np.r_[nodes[6], np.setdiff1d(np.arange(u.size), nodes)[:3]])
+    is_cluster = np.zeros(u.size, dtype=np.bool_)
+    is_cluster[cluster] = True
+    for inv_lam in (1.0, 3.0):
+        out = np.full(u.size, -1.0)
+        kernels._write_times(nodes, u[nodes], is_cluster, cluster, inv_lam, out)
+        running = []
+        acc = 0.0
+        for i in nodes.tolist():
+            acc += bulk[i] * inv_lam
+            running.append(acc)
+        assert out[nodes].tolist() == running
+        assert out[cluster].tolist() == [running[6]] * 4
+        assert (out >= 0).sum() == nodes.size + 3
 
 
 def test_buffer_regrows_when_a_run_consumes_past_the_estimate():
@@ -800,27 +811,31 @@ def frontier_from_csr(g, forwards, uninformed):
 
 
 def start_state(g, ann):
-    """(forwards, state, out_times, n_informed) of a run from ann before
-    its first step, as run_dissemination sets them up: forwards is the
-    reference forwarding rule, state the kernels' byte per node (0
-    informed, 1 uninformed, 2 on the frontier)."""
+    """(forwards, state, n_informed) of a run from ann before its first
+    step, as run_dissemination sets them up: forwards is the reference
+    forwarding rule, state the kernels' byte per node (0 informed, 1
+    uninformed, 2 on the frontier)."""
     forwards = relaying_nodes(g, ann)
     uninformed = np.ones(g.node_count, dtype=np.bool_)
     uninformed[g.cluster if g.cluster_mask[ann] else [ann]] = False
     state = uninformed.astype(np.uint8) + frontier_from_csr(g, forwards, uninformed)
-    out_times = np.where(uninformed, -1.0, 0.0)
-    return forwards, state, out_times, int((~uninformed).sum())
+    return forwards, state, int((~uninformed).sum())
 
 
-def check_state(g, forwards, state, out_times, n_informed):
-    """state holds only 0, 1 and 2, its 2s are exactly the frontier,
-    n_informed counts the informed nodes and out_times holds exactly
-    their times."""
+def check_state(g, ann, forwards, state, n_informed, winners):
+    """state holds only 0, 1 and 2, its 0s are exactly the nodes that
+    the announcer and the recorded winners inform (a whole cluster once
+    one member is in), its 2s are exactly the frontier, and n_informed
+    counts the informed nodes."""
     assert state.dtype == np.uint8 and state.max(initial=0) <= 2
-    uninformed = state != 0
-    np.testing.assert_array_equal(state == 2, frontier_from_csr(g, forwards, uninformed))
-    assert n_informed == int((~uninformed).sum())
-    np.testing.assert_array_equal(out_times >= 0, ~uninformed)
+    assert len(set(winners)) == len(winners)
+    informed = np.zeros(g.node_count, dtype=np.bool_)
+    informed[[ann, *winners]] = True
+    if informed[g.cluster].any():
+        informed[g.cluster] = True
+    np.testing.assert_array_equal(state == 0, informed)
+    np.testing.assert_array_equal(state == 2, frontier_from_csr(g, forwards, ~informed))
+    assert n_informed == int(informed.sum())
 
 
 def test_kernel_state_invariant_at_every_return():
@@ -837,33 +852,32 @@ def test_kernel_state_invariant_at_every_return():
     for case in range(120):
         g = fuzzed_graph(rng, case)
         ann = gg.draw_announcer(rng, g)
-        inv_lam = 1.0 if case % 3 else 1 / 0.7
         graph_args = (g.indptr, g.indices, g.relay_mask)
         cluster_args = (g.cluster_mask, g.cluster, g.cluster_neighborhood)
         for kern in scalar:
-            forwards, state, out_times, n_informed = start_state(g, ann)
-            t, stream = 0.0, np.random.default_rng(case)
-            draws = kernels._delays(stream, int(rng.integers(1, 8)), inv_lam)
+            forwards, state, n_informed = start_state(g, ann)
+            nodes, wins = np.empty(g.node_count, dtype=np.int64), np.empty(g.node_count)
+            steps, stream = 0, np.random.default_rng(case)
+            draws = stream.random(int(rng.integers(1, 8)))
             while True:
-                status, pos, n_informed, t = kern(
-                    *graph_args, *cluster_args, state, n_informed, t, draws, out_times,
+                status, pos, n_informed, steps = kern(
+                    *graph_args, *cluster_args, state, n_informed, steps, draws, nodes, wins,
                 )
                 seen[status] += 1
-                check_state(g, forwards, state, out_times, n_informed)
+                check_state(g, ann, forwards, state, n_informed, nodes[:steps].tolist())
                 if status != kernels.STATUS_REFILL:
                     break
-                draws = np.concatenate(
-                    (draws[pos:], kernels._delays(stream, int(rng.integers(1, 8)), inv_lam)))
-        forwards, state, out_times, n_informed = start_state(g, ann)
+                draws = np.concatenate((draws[pos:], stream.random(int(rng.integers(1, 8)))))
+        forwards, state, n_informed = start_state(g, ann)
+        nodes, wins = np.empty(g.node_count, dtype=np.int64), np.empty(g.node_count)
         stream = np.random.default_rng(case)
-        status, used, n_informed, t = kernels._vector_kernel(
-            g.relay_views, *cluster_args, state, n_informed, 0.0,
-            lambda: stream.random(int(rng.integers(1, 8))), out_times, inv_lam,
+        status, used, n_informed, steps = kernels._vector_kernel(
+            g.relay_views, *cluster_args, state, n_informed,
+            lambda: stream.random(int(rng.integers(1, 8))), nodes, wins,
         )
         vector_seen[status] += 1
-        check_state(g, forwards, state, out_times, n_informed)
+        check_state(g, ann, forwards, state, n_informed, nodes[:steps].tolist())
         assert type(used) is int
-        assert t == out_times.max()
     assert min(seen.values()) >= 20, seen
     assert min(vector_seen.values()) >= 20, vector_seen
 
@@ -882,13 +896,17 @@ def test_numpy_kernel_results_do_not_depend_on_the_draw_size(chunk):
     for seed, (g, ann, lam) in enumerate(runs):
         expected, expected_used = run_dissemination(g, ann, 1.0 / lam, seed,
                                                     policy="reachable-only", backend="numpy")
-        _, state, out_times, n_informed = start_state(g, ann)
+        _, state, n_informed = start_state(g, ann)
+        out_times = np.where(state == 0, 0.0, -1.0)
+        nodes, wins = np.empty(g.node_count, dtype=np.int64), np.empty(g.node_count)
         stream = np.random.default_rng(seed)
         draw = partial(stream.random, chunk or 8 * g.node_count)
-        _, used, _, _ = kernels._vector_kernel(
+        _, used, _, steps = kernels._vector_kernel(
             g.relay_views, g.cluster_mask, g.cluster, g.cluster_neighborhood,
-            state, n_informed, 0.0, draw, out_times, 1.0 / lam,
+            state, n_informed, draw, nodes, wins,
         )
+        kernels._write_times(nodes[:steps], wins[:steps], g.cluster_mask, g.cluster,
+                             1.0 / lam, out_times)
         assert out_times.tobytes() == expected.tobytes(), seed
         assert used == expected_used
         cluster_hits += bool(g.cluster.size > 1 and not g.cluster_mask[ann]
