@@ -35,33 +35,39 @@ uninformed, so after a relaying node is informed, lighting its
 uninformed neighbors sets the frontier exactly.  Every SDN cluster
 member relays (a tiered cluster lies in tier-1), so the merged
 cluster's neighborhood is one precomputed gather.  A kernel takes the
-graph, (state, n_informed), its uniforms and the length-n nodes and wins
-arrays, runs only the event loop, writes step k's winner and uniform to
-nodes[k] and wins[k], and returns (status, draws used, n_informed,
-steps) with the state as above.  STATUS_OK: every node is informed.
-STATUS_STUCK: the frontier is empty.
+graph, (state, n_informed), its draw buffer and the length-n nodes and
+wins arrays, runs only the event loop, writes step k's winner and
+uniform to nodes[k] and wins[k], and returns (status, draws used,
+n_informed, steps) with the state as above.  STATUS_OK: every node is
+informed.  STATUS_STUCK: the frontier is empty.
 
-The numba kernel reads the graph as its CSR arrays and relay_mask, and
-uniforms from a buffer of 8n.  It takes the steps recorded so far and
-returns the new count.  When the buffer runs short it returns
-STATUS_REFILL, where pos is where the unfinished step began and the
-state is as it was there; run_dissemination calls it again on the
-unused draws followed by the next chunk of the same stream.
+Draw contract: run_dissemination draws one buffer of 9n uniforms per
+run, and both kernels read it in place.  A step reads one uniform per
+frontier node, and the announcer is never on the frontier, so a step
+reads fewer than n draws.  When a step runs past the end of the buffer,
+_refill moves the unused draws to the front and fills the rest from the
+same Generator; the buffer holds at least n draws, so one refill
+completes the step.  Consecutive draws from one Generator concatenate,
+so no uniform, winner or time depends on the buffer's size.
+
+The numba kernel reads the graph as its CSR arrays and relay_mask.  It
+takes the steps recorded so far and returns the new count.  When the
+buffer runs short it returns STATUS_REFILL, where pos is where the
+unfinished step began and the state is as it was there;
+run_dissemination refills the buffer from pos and calls it again.
 
 The numpy kernel runs a whole dissemination in one call.  It reads the
 graph as Graph.relay_views: a memoryview of each relaying node's CSR
-row, () for any other node.  It takes a draw() callable that returns
-the next uniforms (8n in a run) and, when a step runs short, continues
-on the unused tail followed by the next draw(), so no result depends on
-how many uniforms a draw returns.  The frontier is an ascending Python
-list of node ids (a step's draw order): a winner is popped from it, a
-newly lit node goes in by bisection, and the state is read and written
-behind a memoryview, so no step scans or copies a mask.  Once a step
-finds the frontier holding every uninformed node, it stays so
-(informing a node only removes it, and on a cluster hit the cluster's
-other members), so such a step skips the neighbor scan.  A cluster hit,
-once per run at most, updates the state by numpy gathers and rebuilds
-the list from it.
+row, () for any other node.  It takes the buffer and the Generator's
+random method as fill, and refills the buffer itself when a step runs
+short.  The frontier is an ascending Python list of node ids (a step's
+draw order): a winner is popped from it, a newly lit node goes in by
+bisection, and the state is read and written behind a memoryview, so
+no step scans or copies a mask.  Once a step finds the frontier holding
+every uninformed node, it stays so (informing a node only removes it,
+and on a cluster hit the cluster's other members), so such a step skips
+the neighbor scan.  A cluster hit, once per run at most, updates the
+state by numpy gathers and rebuilds the list from it.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import insort
-from functools import partial
 
 import numpy as np
 
@@ -159,7 +164,7 @@ else:  # pragma: no cover - exercised only without numba installed
 
 
 def _vector_kernel(
-    relays, is_cluster, cluster, cluster_nbrs, state, n_informed, draw, nodes, wins,
+    relays, is_cluster, cluster, cluster_nbrs, state, n_informed, draws, fill, nodes, wins,
 ):
     n = state.shape[0]
     rest = (state == 2).nonzero()[0].tolist()
@@ -167,18 +172,17 @@ def _vector_kernel(
     node_out, win_out = memoryview(nodes), memoryview(wins)
     steps = 0
     left = n - n_informed
-    uniforms = draw()
-    used, pos, n_draws = 0, 0, uniforms.shape[0]
+    used, pos, n_draws = 0, 0, draws.shape[0]
     # the frontier is empty once every node is informed, so an empty
     # frontier ends every run
     while rest:
         size = len(rest)
         end = pos + size
-        while end > n_draws:
-            uniforms = np.concatenate((uniforms[pos:], draw()))
+        if end > n_draws:
+            _refill(draws, pos, fill)
             used += pos
-            pos, end, n_draws = 0, size, uniforms.shape[0]
-        u = uniforms[pos:end]
+            pos, end = 0, size
+        u = draws[pos:end]
         pos = end
         j = u.argmin()  # first occurrence: earliest node id wins ties
         win_out[steps] = u.item(j)
@@ -203,6 +207,15 @@ def _vector_kernel(
     return (status, used + pos, n - left, steps)
 
 
+def _refill(draws, pos, fill):
+    """Move the unused draws[pos:] to the front of draws and fill the
+    last pos in place with fill(out=...), the next uniforms of the
+    stream.  pos > 0: a step that runs short of a buffer of at least n
+    draws began past its start."""
+    draws[:-pos] = draws[pos:]
+    fill(out=draws[-pos:])
+
+
 def _write_times(nodes, wins, is_cluster, cluster, inv_lam, out_times):
     """Write the event times of a run's winners into out_times.
 
@@ -223,15 +236,13 @@ def _write_times(nodes, wins, is_cluster, cluster, inv_lam, out_times):
 def _exponentials(u: np.ndarray, inv_lam: float) -> np.ndarray:
     """Delays -log1p(-u) * inv_lam of the uniforms u, in place.
 
-    The one conversion from uniforms to delays: in place, so a buffer
-    costs one allocation, not three, and the product is skipped when
-    inv_lam is 1.
+    The one conversion from uniforms to delays, in place, so a buffer
+    costs one allocation, not three.  At inv_lam 1 the product is exact.
     """
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)
-    if inv_lam != 1.0:
-        u *= inv_lam
+    u *= inv_lam
     return u
 
 
@@ -256,14 +267,16 @@ def run_dissemination(
 
     seed (int or SeedSequence) opens the run's one Generator.  The
     announcer, and its SDN cluster when it belongs to one, are informed
-    at time 0 here; the backend kernel then runs the event loop on
-    uniforms drawn 8n at a time and records each step's winner, the
-    first smallest uniform of its slice.  The numba kernel is called
-    again at each refill; the numpy kernel runs the whole loop in one
-    call.  Either way a step that runs short continues on the draws not
-    yet used followed by the next chunk of the same stream, so results
-    never depend on the chunk size.  _write_times then turns the
-    winners into times, the same for both kernels.
+    at time 0 here; the backend kernel then runs the event loop on one
+    buffer of 9n uniforms and records each step's winner, the first
+    smallest uniform of its slice.  A step reads fewer than n draws, so
+    when one runs past the end of the buffer, one _refill (the unused
+    draws moved to the front, the rest filled in place from the same
+    Generator) completes it, and results never depend on the buffer's
+    size.  The numba kernel is called again after each refill; the
+    numpy kernel refills and runs the whole loop in one call.
+    _write_times then turns the winners into times, the same for both
+    kernels.
 
     backend is "numba", "numpy" or "auto"; None reads BGPCONV_BACKEND.
     An announcer outside [0, N), or an inv_lam that is not finite and
@@ -298,25 +311,24 @@ def run_dissemination(
     state[origin_nbrs[state[origin_nbrs] == 1]] = 2
 
     rng = np.random.default_rng(seed)
-    draw = partial(rng.random, 8 * n)
+    draws = rng.random(9 * n)
     common = (is_cluster, graph.cluster, cluster_nbrs, state)
     n_informed = int(origin.size)
     # each step informs a node, so a run has fewer than n steps
     nodes, wins = np.empty(n, dtype=np.int64), np.empty(n)
     if name == "numpy":
         status, used, _, steps = _vector_kernel(
-            graph.relay_views, *common, n_informed, draw, nodes, wins)
+            graph.relay_views, *common, n_informed, draws, rng.random, nodes, wins)
     else:
         arrays = (graph.indptr, graph.indices, graph.relay_mask, *common)
-        draws, used, steps = draw(), 0, 0
+        used, steps = 0, 0
         while True:
             status, pos, n_informed, steps = _scalar_kernel_jit(
                 *arrays, n_informed, steps, draws, nodes, wins)
             used += pos
             if status != STATUS_REFILL:
                 break
-            # a step needs at most n draws, so every refill completes one
-            draws = np.concatenate((draws[pos:], draw()))
+            _refill(draws, pos, rng.random)
     _write_times(nodes[:steps], wins[:steps], is_cluster, graph.cluster, inv_lam, out_times)
     if status == STATUS_STUCK and policy == "strict":
         raise UnreachableTopologyError(

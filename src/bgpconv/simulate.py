@@ -49,10 +49,12 @@ class RunStats:
         runs = int(times.size)
         if runs < 1:
             raise DomainError("need at least one run")
-        # 2**-e brings every |time| below 1, so neither the sum nor the
-        # squared deviations overflow; a power of two scales exactly, so
-        # statistics that fit unscaled keep their bits
-        e = max(math.frexp(float(np.abs(times).max()))[1], 0)
+        # 2**-e brings the largest |time| into [1/2, 1), so the squared
+        # deviations cannot overflow, and whether they underflow does not
+        # depend on the scale of the times; a power of two scales exactly,
+        # so the statistics scale exactly with the rate, and those that
+        # fit unscaled keep their bits
+        e = math.frexp(float(np.abs(times).max()))[1]
         scaled = np.ldexp(times, -e)
         mean = math.ldexp(float(scaled.mean()), e)
         std = math.ldexp(float(scaled.std(ddof=1)), e) if runs > 1 else 0.0

@@ -10,7 +10,6 @@ import hashlib
 import io
 import math
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -92,18 +91,28 @@ def test_stats_from_times():
 
 def test_stats_from_times_keep_their_bits_and_stay_finite():
     # statistics that fit unscaled are numpy's bit for bit; above about
-    # 1e154 the squared deviations would overflow, and the statistics
-    # are those of the times scaled down by a power of two, scaled back
+    # 1e154 the squared deviations would overflow and below about 1e-154
+    # they would underflow, and the statistics are those of the times
+    # scaled by a power of two, scaled back: exactly, either way
     times = np.random.default_rng(3).exponential(1.0, 200)
-    for scale in (1e-300, 1e-5, 1.0, 3.0, 1e100, 1e150):
+    for scale in (1e-5, 1.0, 3.0, 1e100, 1e150):
         stats = RunStats.from_times(times * scale)
         assert stats.mean == float((times * scale).mean())
         assert stats.std_dev == float((times * scale).std(ddof=1))
-    for exp in (600, 1000, 1020):
+    for exp in (-1000, -600, 600, 1000, 1020):
         stats = RunStats.from_times(np.ldexp(times, exp))
         assert stats.mean == math.ldexp(float(times.mean()), exp)
         assert stats.std_dev == math.ldexp(float(times.std(ddof=1)), exp)
         assert math.isfinite(stats.ci95[1])
+
+
+def test_batch_statistics_scale_exactly_with_the_rate():
+    # the same uniforms at rate 2**600 give times 2**-600 as large, so
+    # the statistics must scale by that power of two, bit for bit
+    unit = simulate_batch(mesh_cfg(30, 5, seed=7), 40).stats
+    fast = simulate_batch(mesh_cfg(30, 5, lam=math.ldexp(1.0, 600), seed=7), 40).stats
+    for field in ("mean", "std_dev", "std_err"):
+        assert getattr(fast, field) == math.ldexp(getattr(unit, field), -600), field
 
 
 # ----------------------------------------------------------- determinism
@@ -424,7 +433,7 @@ def star_graph(n):
 
 
 def sparse_large():
-    """Poisson n=3000 at its max-degree announcer: consumption far past 8n."""
+    """Poisson n=3000 at its max-degree announcer: consumption far past 9n."""
     g = gg.gen_poisson(ModelParams(3000, 30), 0.004, 1)
     return g, int(np.argmax(g.degrees))
 
@@ -654,11 +663,11 @@ def test_gathered_winners_convert_to_the_bulk_delays():
 def test_buffer_regrows_when_a_run_consumes_past_the_estimate():
     # star on 2100 nodes, announced from a leaf: the frontier stays huge
     # for thousands of steps, so consumption (about n^2/2 draws) runs far
-    # past the first 8n-draw chunk and the kernel resumes on refills
+    # past the run's 9n-draw buffer and the kernel resumes on refills
     n = 2100
     g = star_graph(n)
     times, consumed = run_dissemination(g, 1, 1.0, 77)
-    assert consumed > 8 * n
+    assert consumed > 9 * n
     assert np.isfinite(times).all()
     times_np, consumed_np = run_dissemination(g, 1, 1.0, 77, backend="numpy")
     np.testing.assert_array_equal(times, times_np)
@@ -841,8 +850,8 @@ def check_state(g, ann, forwards, state, n_informed, winners):
 def test_kernel_state_invariant_at_every_return():
     # each scalar kernel, called directly on short draw buffers, returns
     # REFILL as well as OK and STUCK, and the state holds at every return.
-    # The numpy kernel draws its own refills, here 1-7 uniforms at a time,
-    # and returns once per run, OK or STUCK, with the state as above
+    # The numpy kernel refills its own buffer, here of n, n + 6 or 9n
+    # draws, and returns once per run, OK or STUCK, with the state as above
     scalar = [kernels._scalar_kernel]
     if kernels.HAS_NUMBA:
         scalar.append(kernels._scalar_kernel_jit)
@@ -871,9 +880,11 @@ def test_kernel_state_invariant_at_every_return():
         forwards, state, n_informed = start_state(g, ann)
         nodes, wins = np.empty(g.node_count, dtype=np.int64), np.empty(g.node_count)
         stream = np.random.default_rng(case)
+        n = g.node_count
+        draws = stream.random((n, n + 6, 9 * n)[case % 3])
         status, used, n_informed, steps = kernels._vector_kernel(
-            g.relay_views, *cluster_args, state, n_informed,
-            lambda: stream.random(int(rng.integers(1, 8))), nodes, wins,
+            g.relay_views, *cluster_args, state, n_informed, draws, stream.random,
+            nodes, wins,
         )
         vector_seen[status] += 1
         check_state(g, ann, forwards, state, n_informed, nodes[:steps].tolist())
@@ -882,10 +893,11 @@ def test_kernel_state_invariant_at_every_return():
     assert min(vector_seen.values()) >= 20, vector_seen
 
 
-@pytest.mark.parametrize("chunk", [1, 7, None])
-def test_numpy_kernel_results_do_not_depend_on_the_draw_size(chunk):
-    # times (exact bytes) and draws used of the numpy kernel fed 1, 7 or
-    # 8n uniforms per draw are those of run_dissemination, on fuzzed runs
+@pytest.mark.parametrize("refill", [1, 7, None])
+def test_numpy_kernel_results_do_not_depend_on_the_draw_size(refill):
+    # times (exact bytes) and draws used of the numpy kernel on a buffer
+    # of n, n + 6 or 9n draws, whose refills take at least 1, 7 or
+    # 8n + 1 uniforms, are those of run_dissemination, on fuzzed runs
     # (some hitting their cluster from outside it) and on runs whose
     # frontier comes to hold every uninformed node
     rng = np.random.default_rng(616)
@@ -900,10 +912,11 @@ def test_numpy_kernel_results_do_not_depend_on_the_draw_size(chunk):
         out_times = np.where(state == 0, 0.0, -1.0)
         nodes, wins = np.empty(g.node_count, dtype=np.int64), np.empty(g.node_count)
         stream = np.random.default_rng(seed)
-        draw = partial(stream.random, chunk or 8 * g.node_count)
+        n = g.node_count
+        draws = stream.random(n + refill - 1 if refill else 9 * n)
         _, used, _, steps = kernels._vector_kernel(
             g.relay_views, g.cluster_mask, g.cluster, g.cluster_neighborhood,
-            state, n_informed, draw, nodes, wins,
+            state, n_informed, draws, stream.random, nodes, wins,
         )
         kernels._write_times(nodes[:steps], wins[:steps], g.cluster_mask, g.cluster,
                              1.0 / lam, out_times)
