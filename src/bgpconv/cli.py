@@ -84,6 +84,16 @@ def _announcer(text: str):
         ) from None
 
 
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, as numpy's seeding requires."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 # Every shared option, once: its flag is the key with dashes for
 # underscores.  argparse converts a string default with the option's
 # type, so a type that can return a string must return it unchanged
@@ -123,7 +133,7 @@ OPTIONS = {
                        help="comma-separated p22 grid (default %(default)s)"),
     "k1_values": dict(type=_list_of(int), default=(1, 5, 10, 20),
                       help="comma-separated k1 grid (default %(default)s)"),
-    "seed": dict(type=int, default=0, help="master seed (default %(default)s)"),
+    "seed": dict(type=_seed, default=0, help="master seed (default %(default)s)"),
     "runs": dict(type=int, default=200,
                  help="runs per point or batch (default %(default)s)"),
     "policy": dict(choices=tuple(RUN_POLICY), default="regenerate",
@@ -363,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("simulate", cmd_simulate, "Monte Carlo batch on one topology",
             f"family {flat} {tiered} announcer trace runs policy {common}")
     p = command("sweep", cmd_sweep, "penetration sweep, analytic vs simulated",
-                f"n lam p_edge d_min d_max exponent fractions runs policy {common}",
-                choices={"format": ROW_FORMATS}, format="csv", k=1)
-    p.add_argument("--family", choices=FLAT_FAMILIES, help="topology family")
+                f"n lam p_edge d_min d_max exponent fractions runs policy {common} family",
+                choices={"family": FLAT_FAMILIES, "format": ROW_FORMATS}, format="csv", k=1)
     command("core", cmd_core, "tiered case-study grid over (p22, k1)",
             f"n1 n2 p11 p12 lam p22_values k1_values runs policy {common}",
             choices={"format": ROW_FORMATS}, runs=5000, format="csv", k1=1, p22=0.0)

@@ -71,7 +71,6 @@ def power_law_config_spec(
     d_max: int,
     exponent: float,
     master_seed: int,
-    lam: float = 1.0,
 ) -> ConfigModel:
     """Configuration-model template with one power-law degree sequence.
 
@@ -82,7 +81,7 @@ def power_law_config_spec(
         n_total, d_min, d_max, exponent, derive_seed(master_seed, _DEGSEQ_SALT)
     )
     return ConfigModel(
-        ModelParams(n_total, 1, lam), degree_seq=tuple(int(d) for d in degrees)
+        ModelParams(n_total, 1), degree_seq=tuple(int(d) for d in degrees)
     )
 
 

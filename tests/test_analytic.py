@@ -11,6 +11,7 @@ Two independent oracles anchor this file:
 Everything else pins worked values that were derived by hand.
 """
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -84,9 +85,14 @@ def test_full_mesh_single_member_is_harmonic_sum():
 
 
 def test_whole_network_centralized_is_instant():
-    est = convergence_time(FullMesh(ModelParams(17, 17, 1.0)))
-    assert est.expected_time == 0.0
-    assert est.per_x_expectation.shape == (1,)
+    # k = N has no steps; every family, p_edge = 0 included, gives E[T] = 0
+    params = ModelParams(17, 17, 1.0)
+    for spec in (FullMesh(params), Poisson(params, 0.0),
+                 ConfigModel(params, mu_d=4.0, cv_d=0.5)):
+        est = convergence_time(spec)
+        assert est.expected_time == 0.0
+        assert est.per_x_expectation.shape == (1,)
+        assert est.profile.values.shape == (1, 0)
 
 
 def harmonic(m: int) -> float:
@@ -523,6 +529,18 @@ def test_core_totals_recombine():
     transit = est.t_x_tier1 + est.t_tier1 + est.t_tier1_tier2
     assert est.t_transit == pytest.approx(transit, abs=1e-12)
     assert est.t_total == max(est.t_peering, est.t_transit)
+
+
+def test_core_estimate_derives_its_totals():
+    est = bc.CoreEstimate(0.0, 0.1, 0.2, 0.3)
+    assert est.t_transit == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)  # left to right
+    assert est.t_total == est.t_transit
+    assert list(dataclasses.asdict(est)) == [
+        "t_peering", "t_x_tier1", "t_tier1", "t_tier1_tier2", "t_transit", "t_total",
+    ]
+    assert bc.CoreEstimate(2.0, 0.25, 0.5, 0.125).t_total == 2.0
+    stalled = bc.CoreEstimate(2.0, 0.25, math.inf, 0.125)
+    assert stalled.t_transit == stalled.t_total == math.inf
 
 
 def test_core_no_transit_edges_is_unreachable():

@@ -656,6 +656,29 @@ def test_cli_seed_flag_beats_config_beats_default(tmp_path, capsys):
     assert stdout("--config", str(cfg), "--seed", "0") == default
 
 
+SEEDED_ARGV = {
+    **CLI_BASE_ARGV,
+    "analytic": ("analytic", "--family", "config-model", "--n", "30", "--d-min", "2",
+                 "--d-max", "5", "--exponent", "2"),
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
+def test_cli_negative_seed_is_a_usage_error(command, via, tmp_path, capsys):
+    # numpy refuses a negative seed with a ValueError; the CLI refuses it first
+    argv = [a.format(out=tmp_path / "g.graph") for a in SEEDED_ARGV[command]]
+    if via == "flag":
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", "-1")
+        assert exc.value.code == 2
+    else:
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n")
+        assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert "expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
 def test_cli_builds_one_parser_tree():
     assert cli.build_parser() is cli.build_parser()
 

@@ -660,7 +660,7 @@ def test_gathered_winners_convert_to_the_bulk_delays():
         assert (out >= 0).sum() == nodes.size + 3
 
 
-def test_buffer_regrows_when_a_run_consumes_past_the_estimate():
+def test_runs_far_past_the_buffer_resume_on_refills():
     # star on 2100 nodes, announced from a leaf: the frontier stays huge
     # for thousands of steps, so consumption (about n^2/2 draws) runs far
     # past the run's 9n-draw buffer and the kernel resumes on refills
