@@ -29,6 +29,10 @@ class ModelDegenerateError(ArithmeticError):
             f"x={sdn_hit_step}: value {value!r} is below the floor"
         )
 
+    def __reduce__(self):
+        # rebuilt from its attributes, so it crosses a process boundary
+        return type(self), (self.step, self.sdn_hit_step, self.value)
+
 
 # Errors that mean an input lies outside what the model can evaluate:
 # the CLI exits 2 on them, and the sweep and grid drivers record them

@@ -7,6 +7,12 @@ graph and a batch seed from (master_seed, i, salt); run r of case-study
 point j redraws graph and announcer from (master_seed, j, r, salt),
 because tiered reachability depends on the announcer.  Both drivers
 build their rows through _measured and _failed.
+
+Since no point reads another's stream, both drivers spread their points
+over the CPUs in the process's affinity mask (_map_points, forked
+workers) and return the same rows at any worker count; a single CPU
+(`taskset -c 0`) runs them serially.  simulate_batch and the closed
+forms stay serial.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ import functools
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -150,6 +157,75 @@ def _failed(row_type: type, exc: Exception, keys: dict):
     return row_type(**keys, **blank, error=f"{type(exc).__name__}: {exc}")
 
 
+def _map_points(fn: Callable, items: Iterable) -> list:
+    """[fn(x) for x in items], in item order, with one forked worker per
+    CPU in this process's affinity mask (at most one per item).
+
+    Runs serially with one CPU or one item, where the platform cannot
+    fork, in a daemonic process, which may not have children, and while
+    another thread runs, which a forked child could find holding a lock.
+    A worker's exception reaches the caller, and no worker outlives the
+    call.
+    """
+    import multiprocessing
+    import threading
+
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if (
+        workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return [fn(x) for x in items]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        results = pool.map(fn, items, chunksize=1)
+        pool.close()
+        pool.join()
+    return results
+
+
+def _sweep_point(spec: SweepSpec, item: tuple[int, float]) -> ComparisonRow:
+    """Sweep point i at penetration `fraction`, given as (i, fraction);
+    a point error becomes its failed row."""
+    i, fraction = item
+    template = spec.topology
+    keys = dict(sweep_value=fraction, runs=spec.runs_per_point, seed=spec.master_seed)
+    try:
+        k = fraction_to_k(template.params.n_total, fraction)
+        point = replace(template, params=replace(template.params, k_cluster=k))
+        graph, _ = draw_point(
+            point, derive_seed(spec.master_seed, i, _GRAPH_SALT), spec.policy
+        )
+        if isinstance(point, ConfigModel):
+            mu_d, cv_d = degree_stats(graph.degrees)
+            estimate = convergence_time(
+                ConfigModel(point.params, mu_d=mu_d, cv_d=cv_d),
+                degenerate="clamp",
+            )
+        else:
+            estimate = convergence_time(point)
+        analytic = estimate.expected_time
+        cfg = RunConfig(
+            graph,
+            "uniform",
+            point.params.lam,
+            derive_seed(spec.master_seed, i, _SIM_SALT),
+            RUN_POLICY[spec.policy],
+        )
+        stats = simulate_batch(cfg, spec.runs_per_point).stats
+    except _POINT_ERRORS as exc:
+        return _failed(ComparisonRow, exc, keys)
+    return ComparisonRow(
+        **keys,
+        analytic=analytic,
+        **_measured(analytic, stats),
+        jensen_ok=analytic <= stats.mean + 2.0 * stats.std_err,
+    )
+
+
 def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
     """Evaluate analytic vs simulated convergence across the sweep.
 
@@ -159,45 +235,8 @@ def run_sweep(spec: SweepSpec) -> list[ComparisonRow]:
     closed form is fed the realized post-erasure degree statistics.
     A failing point is recorded in-row and the sweep continues.
     """
-    rows: list[ComparisonRow] = []
-    template = spec.topology
-    for i, fraction in enumerate(sorted(float(v) for v in spec.sweep_values)):
-        keys = dict(sweep_value=fraction, runs=spec.runs_per_point, seed=spec.master_seed)
-        try:
-            k = fraction_to_k(template.params.n_total, fraction)
-            point = replace(template, params=replace(template.params, k_cluster=k))
-            graph, _ = draw_point(
-                point, derive_seed(spec.master_seed, i, _GRAPH_SALT), spec.policy
-            )
-            if isinstance(point, ConfigModel):
-                mu_d, cv_d = degree_stats(graph.degrees)
-                estimate = convergence_time(
-                    ConfigModel(point.params, mu_d=mu_d, cv_d=cv_d),
-                    degenerate="clamp",
-                )
-            else:
-                estimate = convergence_time(point)
-            analytic = estimate.expected_time
-            cfg = RunConfig(
-                graph,
-                "uniform",
-                point.params.lam,
-                derive_seed(spec.master_seed, i, _SIM_SALT),
-                RUN_POLICY[spec.policy],
-            )
-            stats = simulate_batch(cfg, spec.runs_per_point).stats
-        except _POINT_ERRORS as exc:
-            rows.append(_failed(ComparisonRow, exc, keys))
-            continue
-        rows.append(
-            ComparisonRow(
-                **keys,
-                analytic=analytic,
-                **_measured(analytic, stats),
-                jensen_ok=analytic <= stats.mean + 2.0 * stats.std_err,
-            )
-        )
-    return rows
+    fractions = sorted(float(v) for v in spec.sweep_values)
+    return _map_points(functools.partial(_sweep_point, spec), enumerate(fractions))
 
 
 @dataclass(frozen=True)
@@ -235,6 +274,35 @@ def _grid_run(
     return graph, origin, derive_seed(master_seed, point, r, _SIM_SALT)
 
 
+def _core_point(
+    template: TieredCore,
+    runs: int,
+    master_seed: int,
+    policy: str,
+    baselines: dict[float, float],
+    item: tuple[int, tuple[float, int]],
+) -> CoreRow:
+    """Grid point j at (p22, k1), given as (j, (p22, k1)), against its
+    p22's k1 = 1 baseline; a point error becomes its failed row."""
+    j, (p22, k1) = item
+    keys = dict(p22=p22, k1=k1, runs=runs, seed=master_seed)
+    try:
+        spec_pt = replace(template, k1=k1, p22=p22)
+        est = core_convergence_time(spec_pt)
+        draw = functools.partial(_grid_run, spec_pt, master_seed, j, policy)
+        batch = _run_batch(draw, runs, spec_pt.lam, RUN_POLICY[policy])
+    except _POINT_ERRORS as exc:
+        return _failed(CoreRow, exc, keys)
+    return CoreRow(
+        **keys,
+        analytic_total=est.t_total,
+        analytic_peering=est.t_peering,
+        analytic_transit=est.t_transit,
+        **_measured(est.t_total, batch.stats),
+        beats_baseline=est.t_total < baselines[p22],
+    )
+
+
 def run_case_study(
     template: TieredCore,
     p22_values: Sequence[float],
@@ -267,32 +335,15 @@ def run_case_study(
         except _POINT_ERRORS:
             baselines[p22] = math.nan
 
-    rows: list[CoreRow] = []
-    best_k1: dict = dict.fromkeys(baselines)
     grid = itertools.product(p22_grid, sorted(int(k) for k in k1_values))
-    for j, (p22, k1) in enumerate(grid):
-        keys = dict(p22=p22, k1=k1, runs=runs_per_point, seed=master_seed)
-        try:
-            spec_pt = replace(template, k1=k1, p22=p22)
-            est = core_convergence_time(spec_pt)
-            draw = functools.partial(_grid_run, spec_pt, master_seed, j, policy)
-            batch = _run_batch(draw, runs_per_point, spec_pt.lam, RUN_POLICY[policy])
-        except _POINT_ERRORS as exc:
-            rows.append(_failed(CoreRow, exc, keys))
-            continue
-        beats = est.t_total < baselines[p22]
-        if beats and (best_k1[p22] is None or k1 < best_k1[p22]):
-            best_k1[p22] = k1
-        rows.append(
-            CoreRow(
-                **keys,
-                analytic_total=est.t_total,
-                analytic_peering=est.t_peering,
-                analytic_transit=est.t_transit,
-                **_measured(est.t_total, batch.stats),
-                beats_baseline=beats,
-            )
-        )
+    rows = _map_points(
+        functools.partial(_core_point, template, runs_per_point, master_seed, policy, baselines),
+        enumerate(grid),
+    )
+    best_k1 = {
+        p22: min((r.k1 for r in rows if r.p22 == p22 and r.beats_baseline), default=None)
+        for p22 in baselines
+    }
     return CaseStudyResult(rows=tuple(rows), best_k1=best_k1)
 
 

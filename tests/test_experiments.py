@@ -10,9 +10,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -20,9 +23,10 @@ import numpy as np
 import pytest
 
 import bgpconv as bc
-from bgpconv import cli
-from bgpconv.errors import DomainError
+from bgpconv import cli, errors, experiments
+from bgpconv.errors import DomainError, ModelDegenerateError, UnreachableTopologyError
 from bgpconv.experiments import (
+    _map_points,
     draw_point,
     fraction_to_k,
     power_law_config_spec,
@@ -269,6 +273,125 @@ def test_case_study_unreachable_grid_point_is_marked(template, p22, k1, error):
         "sim_mean sim_std_err rel_error"
     assert_failed_row(row, keys, nan_fields, "beats_baseline", error)
     assert result.best_k1[p22] is None
+
+
+# ---------------------------------------------------------------- workers
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs the point helper sees in the affinity mask."""
+    def force(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return force
+
+
+def worker_pid(_):
+    return os.getpid()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_map_points_runs_one_worker_per_cpu(n, cpus):
+    cpus(n)
+    pids = _map_points(worker_pid, range(4))
+    if n == 1:
+        assert pids == [os.getpid()] * 4
+    else:
+        assert os.getpid() not in pids and len(set(pids)) <= 2
+    assert _map_points(str, range(5)) == [str(i) for i in range(5)]
+    assert multiprocessing.active_children() == []
+
+
+# one point of each fails in-row: the sweep's 0.1 draw never reaches
+# every node, and k1 = 11 exceeds n1
+WORKER_SWEEP = bc.SweepSpec(Poisson(ModelParams(30, 1, 1.0), 0.05),
+                            sweep_values=(0.1, 0.5, 0.9), runs_per_point=20, master_seed=3)
+WORKER_DRIVERS = {
+    "sweep": lambda: bc.run_sweep(WORKER_SWEEP),
+    "core": lambda: bc.run_case_study(TieredCore(10, 30, 1, 0.5, 0.25, 0.2, 1.0),
+                                      (0.2,), (1, 5, 11), runs_per_point=20, master_seed=4),
+}
+
+
+def driver_bytes() -> list[str]:
+    out = []
+    for run in WORKER_DRIVERS.values():
+        result = run()
+        rows = result.rows if isinstance(result, bc.CaseStudyResult) else result
+        assert sum(r.error is not None for r in rows) == 1
+        out += [bc.emit(result, format=fmt) for fmt in ("csv", "json")]
+    return out
+
+
+def test_drivers_emit_the_same_bytes_at_one_and_two_workers(cpus, request):
+    cpus(1)
+    serial = driver_bytes()
+    cpus(2)
+    assert driver_bytes() == serial
+    golden = request.path.parent / "data" / "golden_fullmesh_sweep.csv"
+    spec = bc.SweepSpec(FullMesh(ModelParams(300, 1, 1.0)), runs_per_point=50, master_seed=1)
+    assert bc.emit(bc.run_sweep(spec), format="csv") == golden.read_text()
+
+
+@pytest.mark.parametrize("driver,batch", [("sweep", "simulate_batch"),
+                                          ("core", "_run_batch")])
+def test_no_worker_outlives_a_driver(driver, batch, cpus, monkeypatch):
+    cpus(2)
+    WORKER_DRIVERS[driver]()
+    assert multiprocessing.active_children() == []
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    # not a point error, so the first worker to raise it fails the call
+    monkeypatch.setattr(experiments, batch, exhausted)
+    with pytest.raises(MemoryError) as exc:
+        WORKER_DRIVERS[driver]()
+    assert type(exc.value) is MemoryError
+    assert str(exc.value) == "Unable to allocate 74.5 GiB for an array"
+    assert multiprocessing.active_children() == []
+
+
+def sweep_in_worker(_):
+    return bc.emit(bc.run_sweep(WORKER_SWEEP), format="csv"), \
+        multiprocessing.current_process().daemon
+
+
+def test_daemonic_caller_runs_points_serially(cpus):
+    # a pool worker is daemonic and may not fork workers of its own
+    cpus(1)
+    serial = bc.emit(bc.run_sweep(WORKER_SWEEP), format="csv")
+    cpus(2)
+    assert _map_points(sweep_in_worker, range(2)) == [(serial, True)] * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_points_run_serially_while_another_thread_runs(cpus):
+    cpus(2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert _map_points(worker_pid, range(2)) == [os.getpid()] * 2
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+
+
+def test_every_library_error_survives_pickling():
+    samples = [
+        DomainError("k1 11 exceeds n1 10"),
+        UnreachableTopologyError("no reachable draw within 100 attempts"),
+        ModelDegenerateError(3, 1, -0.5),
+    ]
+    defined = {v for v in vars(errors).values() if isinstance(v, type)
+               and issubclass(v, Exception) and v.__module__ == errors.__name__}
+    assert {type(e) for e in samples} == defined
+    for exc in samples:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))
 
 
 # ---------------------------------------------------------------- config
