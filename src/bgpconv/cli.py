@@ -35,8 +35,6 @@ import numpy as np
 from .analytic import convergence_time, core_convergence_time
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .experiments import (
-    _GRAPH_SALT,
-    _SIM_SALT,
     DEFAULT_FRACTIONS,
     RUN_POLICY,
     SweepSpec,
@@ -49,7 +47,7 @@ from .experiments import (
 )
 from .graphs import export_graph, gen_graph, import_graph
 from .model import ConfigModel, FullMesh, ModelParams, Poisson, TieredCore
-from .simulate import RunConfig, derive_seed, format_trace, simulate_batch, simulate_once
+from .simulate import RunConfig, format_trace, simulate_batch, simulate_once
 
 FLAT_FAMILIES = ("full-mesh", "poisson", "config-model")
 
@@ -254,18 +252,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    graph, drawn = draw_point(
-        _graph_spec(args), derive_seed(args.seed, _GRAPH_SALT), args.policy
-    )
+    graph, drawn, clock_seed = draw_point(_graph_spec(args), args.policy, args.seed)
     announcer = args.announcer
     if announcer is None:
         # a regenerated tiered draw is certified reachable from its own
         # announcer only, so pin it; flat coverage is announcer-independent
         announcer = drawn if graph.is_tiered and args.policy == "regenerate" else "uniform"
-    cfg = RunConfig(
-        graph, announcer, args.lam, derive_seed(args.seed, _SIM_SALT),
-        RUN_POLICY[args.policy],
-    )
+    cfg = RunConfig(graph, announcer, args.lam, clock_seed, RUN_POLICY[args.policy])
     batch = simulate_batch(cfg, args.runs)
     if args.trace is not None:
         with open(args.trace, "w", encoding="ascii") as fh:

@@ -2,10 +2,11 @@
 and machine-readable CSV/JSON emission.
 
 Every experiment is deterministic given its master seed, and every
-simulated mean comes from simulate._run_batch.  Sweep point i draws one
-graph and a batch seed from (master_seed, i, salt); run r of case-study
-point j redraws graph and announcer from (master_seed, j, r, salt),
-because tiered reachability depends on the announcer.  Both drivers
+simulated mean comes from simulate._run_batch.  draw_point derives a
+point's graph, announcer and clock seed from its key parts: (seed) for
+the simulate command, (master_seed, i) for sweep point i, and
+(master_seed, j, r) for run r of case-study point j, which redraws per
+run because tiered reachability depends on the announcer.  Both drivers
 build their rows through _measured and _failed.
 
 Since no point reads another's stream, both drivers spread their points
@@ -49,20 +50,26 @@ _POINT_ERRORS = (*DOMAIN_ERRORS, UnreachableTopologyError)
 RUN_POLICY = {"regenerate": "strict", "reachable-only": "reachable-only"}
 
 
-def draw_point(spec: TopologySpec, seed: int, policy: str) -> tuple[Graph, int]:
-    """One topology draw and a uniform announcer on it.
+def draw_point(spec: TopologySpec, policy: str, *parts: int) -> tuple[Graph, int, int]:
+    """The draw of the point keyed by parts: a graph, a uniform announcer
+    on it, and the seed of its clock stream.
 
+    The graph and announcer come from derive_seed(*parts, _GRAPH_SALT):
     "regenerate" redraws until the announcer reaches every node
     (ensure_reachable); "reachable-only" keeps attempt 0 of that same
     stream (draw_attempt), reachable or not.  Any other policy is a
-    DomainError.
+    DomainError.  The clock seed is derive_seed(*parts, _SIM_SALT)
+    under either policy.
     """
     if policy not in RUN_POLICY:
         raise DomainError(f"unknown policy {policy!r}")
+    graph_seed = derive_seed(*parts, _GRAPH_SALT)
     if policy == "regenerate":
-        draw = ensure_reachable(spec, seed)
-        return draw.graph, draw.announcer
-    return draw_attempt(spec, seed, 0)
+        draw = ensure_reachable(spec, graph_seed)
+        graph, announcer = draw.graph, draw.announcer
+    else:
+        graph, announcer = draw_attempt(spec, graph_seed, 0)
+    return graph, announcer, derive_seed(*parts, _SIM_SALT)
 
 
 def fraction_to_k(n_total: int, fraction: float) -> int:
@@ -196,9 +203,7 @@ def _sweep_point(spec: SweepSpec, item: tuple[int, float]) -> ComparisonRow:
     try:
         k = fraction_to_k(template.params.n_total, fraction)
         point = replace(template, params=replace(template.params, k_cluster=k))
-        graph, _ = draw_point(
-            point, derive_seed(spec.master_seed, i, _GRAPH_SALT), spec.policy
-        )
+        graph, _, clock_seed = draw_point(point, spec.policy, spec.master_seed, i)
         if isinstance(point, ConfigModel):
             mu_d, cv_d = degree_stats(graph.degrees)
             estimate = convergence_time(
@@ -209,11 +214,7 @@ def _sweep_point(spec: SweepSpec, item: tuple[int, float]) -> ComparisonRow:
             estimate = convergence_time(point)
         analytic = estimate.expected_time
         cfg = RunConfig(
-            graph,
-            "uniform",
-            point.params.lam,
-            derive_seed(spec.master_seed, i, _SIM_SALT),
-            RUN_POLICY[spec.policy],
+            graph, "uniform", point.params.lam, clock_seed, RUN_POLICY[spec.policy]
         )
         stats = simulate_batch(cfg, spec.runs_per_point).stats
     except _POINT_ERRORS as exc:
@@ -266,14 +267,6 @@ class CaseStudyResult:
     best_k1: dict
 
 
-def _grid_run(
-    spec: TieredCore, master_seed: int, point: int, policy: str, r: int
-) -> tuple[Graph, int, int]:
-    """Run r of grid point `point`: a fresh graph, its announcer, a clock seed."""
-    graph, origin = draw_point(spec, derive_seed(master_seed, point, r, _GRAPH_SALT), policy)
-    return graph, origin, derive_seed(master_seed, point, r, _SIM_SALT)
-
-
 def _core_point(
     template: TieredCore,
     runs: int,
@@ -289,7 +282,7 @@ def _core_point(
     try:
         spec_pt = replace(template, k1=k1, p22=p22)
         est = core_convergence_time(spec_pt)
-        draw = functools.partial(_grid_run, spec_pt, master_seed, j, policy)
+        draw = functools.partial(draw_point, spec_pt, policy, master_seed, j)
         batch = _run_batch(draw, runs, spec_pt.lam, RUN_POLICY[policy])
     except _POINT_ERRORS as exc:
         return _failed(CoreRow, exc, keys)

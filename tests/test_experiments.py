@@ -80,12 +80,37 @@ def test_fraction_to_k_mapping():
 
 
 def test_sweep_rejects_bad_specs():
-    with pytest.raises(DomainError):
-        bc.SweepSpec(TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0))
-    with pytest.raises(DomainError):
-        bc.SweepSpec(FullMesh(ModelParams(10, 1, 1.0)), sweep_values=(0.5, 2.0))
-    with pytest.raises(DomainError, match="degree sequence"):
-        bc.SweepSpec(ConfigModel(ModelParams(10, 1, 1.0), mu_d=3.0, cv_d=0.5))
+    mesh = FullMesh(ModelParams(10, 1, 1.0))
+    cases = [
+        (TieredCore(20, 100, 1, 0.5, 0.25, 0.2, 1.0), {}, "flat topology"),
+        (mesh, dict(sweep_values=(0.5, 2.0)), "outside"),
+        (ConfigModel(ModelParams(10, 1, 1.0), mu_d=3.0, cv_d=0.5), {}, "degree sequence"),
+        (mesh, dict(runs_per_point=0), "runs_per_point"),
+        (mesh, dict(policy="bogus"), "bogus"),
+        (mesh, dict(sweep_values=()), "at least one value"),
+    ]
+    for topology, kw, message in cases:
+        with pytest.raises(DomainError, match=message):
+            bc.SweepSpec(topology, **kw)
+
+
+def test_case_study_rejects_bad_inputs_before_any_point_runs(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(experiments, "core_convergence_time", never)
+    monkeypatch.setattr(experiments, "_map_points", never)
+    tpl = TieredCore(10, 30, 1, 0.5, 0.25, 0.2, 1.0)
+    cases = [
+        (dict(runs_per_point=0), "runs_per_point"),
+        (dict(policy="bogus"), "bogus"),
+        (dict(p22_values=()), "nonempty"),
+        (dict(k1_values=()), "nonempty"),
+    ]
+    for kw, message in cases:
+        args = dict(p22_values=(0.2,), k1_values=(1, 2), runs_per_point=5) | kw
+        with pytest.raises(DomainError, match=message):
+            bc.run_case_study(tpl, **args)
 
 
 def assert_failed_row(row, keys: dict, nan_fields: str, flags: str, error: str):
@@ -874,18 +899,21 @@ def test_cli_import_graph_rejects_malformed_files(tmp_path, capsys):
 
 def test_reachable_only_keeps_attempt_zero_of_the_regenerate_stream():
     # a full mesh is reachable on the first attempt, so both policies
-    # must return the same graph and announcer
+    # must return the same graph, announcer and clock seed
     spec = FullMesh(ModelParams(12, 3, 1.0))
     for seed in range(5):
-        g_a, a = draw_point(spec, seed, "regenerate")
-        g_b, b = draw_point(spec, seed, "reachable-only")
+        g_a, a, clock_a = draw_point(spec, "regenerate", seed)
+        g_b, b, clock_b = draw_point(spec, "reachable-only", seed)
         assert a == b
+        assert clock_a == clock_b
         np.testing.assert_array_equal(g_a.indices, g_b.indices)
         np.testing.assert_array_equal(g_a.cluster, g_b.cluster)
-    # far below the connectivity threshold, attempt 0 is kept unreachable
+    # far below the connectivity threshold, attempt 0 is kept unreachable;
+    # the clock seed depends on the parts alone
     sparse = Poisson(ModelParams(30, 1, 1.0), 0.02)
-    graph, origin = draw_point(sparse, 3, "reachable-only")
+    graph, origin, clock = draw_point(sparse, "reachable-only", 3)
     assert not bc.reachable_set(graph, origin).all()
+    assert clock == draw_point(FullMesh(ModelParams(30, 1, 1.0)), "regenerate", 3)[2]
 
 
 def test_reachable_only_draw_runs_no_reachability_search(monkeypatch):
@@ -893,13 +921,13 @@ def test_reachable_only_draw_runs_no_reachability_search(monkeypatch):
         raise AssertionError("reachable_set ran")
 
     monkeypatch.setattr("bgpconv.graphs.reachable_set", never)
-    graph, origin = draw_point(Poisson(ModelParams(30, 1, 1.0), 0.02), 3, "reachable-only")
+    graph, origin, _ = draw_point(Poisson(ModelParams(30, 1, 1.0), 0.02), "reachable-only", 3)
     assert graph.node_count == 30 and 0 <= origin < 30
 
 
 def test_draw_point_rejects_an_unknown_policy():
     with pytest.raises(DomainError, match="bogus"):
-        draw_point(Poisson(ModelParams(30, 1, 1.0), 0.02), 3, "bogus")
+        draw_point(Poisson(ModelParams(30, 1, 1.0), 0.02), "bogus", 3)
 
 
 PINNED_GRAPH = (

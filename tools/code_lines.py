@@ -3,7 +3,8 @@
 Usage: python tools/code_lines.py PATH [PATH ...]
 
 Each PATH is a .py file or a directory searched for .py files.  Prints
-one count per file and the total.
+one count per file and the total.  With no PATH, or one that does not
+exist, prints usage to stderr and exits 2.
 """
 
 import ast
@@ -30,7 +31,13 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(paths: list[str]) -> None:
+def main(paths: list[str]) -> int:
+    missing = [p for p in paths if not Path(p).exists()]
+    if not paths or missing:
+        for p in missing:
+            print(f"code_lines.py: no such file or directory: {p}", file=sys.stderr)
+        print("usage: python tools/code_lines.py PATH [PATH ...]", file=sys.stderr)
+        return 2
     files = sorted(
         f for p in map(Path, paths) for f in ([p] if p.is_file() else p.rglob("*.py"))
     )
@@ -40,7 +47,8 @@ def main(paths: list[str]) -> None:
         total += count
         print(f"{count:6d}  {f}")
     print(f"{total:6d}  total")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
