@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -487,6 +488,14 @@ def test_public_names_resolve():
     assert set(bc.__all__) <= set(namespace)
 
 
+def test_export_list_matches_the_imported_names():
+    # each name is written twice in __init__.py, once imported and once
+    # in __all__: dropping it from one place only must fail here
+    public = {name for name, value in vars(bc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(bc.__all__) == public
+
+
 def test_cli_analytic_tiered_breakdown(capsys):
     assert run_cli("analytic", "--family", "tiered", "--format", "json") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -685,19 +694,24 @@ def test_cli_io_error_exit_code(capsys):
 
 
 def test_cli_graph_round_trip(tmp_path, capsys):
-    dest = tmp_path / "mesh.graph"
-    assert run_cli(
-        "export-graph", "--family", "full-mesh", "--n", "12", "--k", "2",
-        "--out", str(dest), "--seed", "3",
-    ) == 0
-    text = dest.read_text()
-    assert text.startswith("n 12\n")
-    assert "cluster" in text
-    again = tmp_path / "again.graph"
-    assert run_cli("import-graph", "--in", str(dest), "--out", str(again)) == 0
-    assert again.read_text() == text
-    summary = capsys.readouterr().out
-    assert "12" in summary
+    # a flat graph, a tiered one (kind column) and a config-model one
+    cases = {
+        ("--family", "full-mesh", "--n", "12", "--k", "2"): 12,
+        ("--family", "tiered"): 120,
+        ("--family", "config-model", "--n", "60", "--d-min", "2", "--d-max", "20",
+         "--exponent", "2.5"): 60,
+    }
+    for family, nodes in cases.items():
+        dest = tmp_path / "exported.graph"
+        assert run_cli("export-graph", *family, "--out", str(dest), "--seed", "3") == 0
+        text = dest.read_text()
+        assert text.startswith(f"n {nodes}\n")
+        assert "cluster" in text
+        assert ("transit12" in text) == (family[1] == "tiered")
+        again = tmp_path / "again.graph"
+        assert run_cli("import-graph", "--in", str(dest), "--out", str(again)) == 0
+        assert again.read_text() == text, family
+        assert str(nodes) in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("announcer_flag", [True, False])

@@ -491,14 +491,51 @@ def test_export_import_round_trip_tiered():
     np.testing.assert_array_equal(g.cluster, back.cluster)
 
 
+def exported(graph):
+    """The edge-list text export_graph writes for graph."""
+    buf = io.StringIO()
+    export_graph(graph, buf)
+    return buf.getvalue()
+
+
+def tier2_first_text():
+    """An edge-list file of a tiered core with its node ids reversed
+    (x -> n - 1 - x), so every tier-2 id comes before every tier-1 id;
+    its lines run in the original graph's order."""
+    g = gen_tiered_core(TIERED, 9)
+    n = g.node_count
+    lines = [f"n {n}"]
+    for line in exported(g).splitlines()[1:]:
+        head, *rest = line.split()
+        if head == "cluster":
+            lines.append(" ".join(["cluster", *(str(n - 1 - int(c)) for c in rest)]))
+        else:
+            a, b, kind = line.split()
+            lines.append(f"{n - 1 - int(a)} {n - 1 - int(b)} {kind}")
+    return "\n".join(lines) + "\n"
+
+
 def test_export_transit_lines_put_the_provider_first():
     g = gen_tiered_core(TIERED, 9)
-    buf = io.StringIO()
-    export_graph(g, buf)
-    for line in buf.getvalue().splitlines():
+    transit = 0
+    for line in exported(g).splitlines():
         parts = line.split()
-        if len(parts) == 3 and parts[2] == "transit":
+        if len(parts) == 3 and parts[2] == "transit12":
+            transit += 1
             assert int(parts[0]) < 20 <= int(parts[1])
+    src = np.repeat(np.arange(g.node_count), g.degrees)
+    assert transit == int((g.roles[src] != g.roles[g.indices]).sum()) // 2 > 0
+    # with the ids reversed, tier-1 is [100, 120): each transit line's
+    # provider has the larger id, so export swaps the endpoints
+    back = import_graph(io.StringIO(tier2_first_text()))
+    assert (back.roles[100:] == ROLE_TIER1).all() and (back.roles[:100] == ROLE_TIER2).all()
+    swapped = 0
+    for line in exported(back).splitlines():
+        parts = line.split()
+        if len(parts) == 3 and parts[2] == "transit12":
+            swapped += 1
+            assert int(parts[1]) < 100 <= int(parts[0])
+    assert swapped == transit
 
 
 def test_import_rejects_malformed_input():
@@ -824,3 +861,32 @@ def test_csr_bytes_are_pinned(monkeypatch, case, block):
     if block is not None:
         monkeypatch.setattr(gg, "PAIR_BLOCK", block)
     assert csr_digest(CSR_CASES[case]()) == CSR_PINS[case]
+
+
+# case -> the graph whose export_graph text is pinned
+EXPORT_CASES = {
+    "tiered": lambda: gen_tiered_core(TIERED, 3),
+    "poisson": lambda: gen_poisson(ModelParams(150, 15), 0.05, 0),
+    "config": lambda: gen_config_model(
+        ModelParams(200, 5), gen_power_law_degrees(200, 2, 40, 2.5, 3), 4),
+    "import-tier2-first": lambda: import_graph(io.StringIO(tier2_first_text())),
+}
+
+EXPORT_PINS = {
+    "config":
+        "3da24b9298d87269cbf475ea9373b905099bead93046f0e391fbe9ae99335639",
+    "import-tier2-first":
+        "4ad3b6fd9074918a926b3c87a49c672ba0c45b89f9b9d9924ad7142646ba3345",
+    "poisson":
+        "85db2a635f59d69f6a2795897267e2f93d9df26415ba5cfc5b7dc5cddc89e259",
+    "tiered":
+        "66eac05f87d640a82f314f85889ab1ba97633cdb320f0ab6dd4a13f5553ad8c3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_CASES))
+def test_export_bytes_are_pinned(case):
+    # the edge-list text, byte for byte: line order, the provider-first
+    # transit lines and the kind names
+    text = exported(EXPORT_CASES[case]())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == EXPORT_PINS[case]
