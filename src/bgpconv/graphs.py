@@ -2,10 +2,10 @@
 
 All generators are deterministic given (parameters, seed) and produce
 simple undirected graphs in CSR form.  Tiered-core graphs additionally
-carry per-node tier roles, from which their edge kinds follow; flat
-graphs carry a uniform role.  The SDN cluster is stored on the graph so
-simulation and reachability can treat it as a single super-node
-(informing any member informs all).
+carry per-node tier roles; flat graphs carry a uniform role.  Edge
+kinds exist only in the edge-list file, named from the endpoints' roles.
+The SDN cluster is stored on the graph so simulation and reachability
+can treat it as a single super-node (informing any member informs all).
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ ROLE_FLAT = 0
 ROLE_TIER1 = 1
 ROLE_TIER2 = 2
 
-KIND_PEER11 = 1
-KIND_TRANSIT12 = 2
-KIND_PEER22 = 3
-KIND_NAMES = {KIND_PEER11: "peer11", KIND_TRANSIT12: "transit12", KIND_PEER22: "peer22"}
-KIND_CODES = {name: code for code, name in KIND_NAMES.items()}
+# edge-list kind of a tiered edge, indexed by role_u + role_v - 2: two
+# tier-1 endpoints, one of each tier, two tier-2 endpoints
+KIND_NAMES = ("peer11", "transit12", "peer22")
 
 # largest node count N whose half-edge keys src * N + dst (see from_edges)
 # fit in int64; import_graph rejects larger header counts
@@ -75,20 +73,6 @@ class Graph:
     def is_tiered(self) -> bool:
         # from_edges gives a tiered graph nodes, none of them ROLE_FLAT
         return bool(self.roles.size) and int(self.roles[0]) != ROLE_FLAT
-
-    @cached_property
-    def kinds(self) -> np.ndarray | None:
-        """Read-only kind of each half-edge, aligned with indices, built
-        once from the roles as kind = role_u + role_v - 1 (peer11, transit12
-        or peer22 between two tier-1, mixed or two tier-2 endpoints); None
-        on a flat graph."""
-        if not self.is_tiered:
-            return None
-        kinds = self.roles.repeat(self.degrees)
-        kinds += self.roles.take(self.indices)
-        kinds -= np.uint8(1)
-        kinds.flags.writeable = False
-        return kinds
 
     @cached_property
     def cluster_mask(self) -> np.ndarray:
@@ -144,8 +128,8 @@ def from_edges(
     The half-edges are the keys src * N + dst of (u, v) and (v, u),
     sorted in place.  indptr comes from the degree counts of the
     endpoints, and dst from the sorted keys less each row's base src * N.
-    Passing roles makes the graph tiered; its edge kinds follow from
-    the roles (Graph.kinds).
+    Passing roles makes the graph tiered; the graph keeps no edge
+    kinds, which export_graph names from the roles.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -533,28 +517,26 @@ def ensure_reachable(
 def export_graph(graph: Graph, dest: Union[str, IO[str]]) -> None:
     """Write the edge-list text format.
 
-    Line 1: ``n <node_count>``.  One ``u v`` line per edge (with a kind
-    name appended on tiered graphs; transit edges list the tier-1
-    endpoint first).  Final line: ``cluster u1 u2 ...``.
+    Line 1: ``n <node_count>``.  One ``u v`` line per edge, each edge
+    once in CSR order (from its smaller endpoint); on tiered graphs the
+    line adds the kind named from the endpoints' roles (KIND_NAMES), and
+    a transit line lists its tier-1 endpoint first.  Final line:
+    ``cluster u1 u2 ...``.
     """
+    src = np.arange(graph.node_count).repeat(graph.degrees)
+    keep = src < graph.indices
+    u, v = src[keep], graph.indices[keep]
+    kinds = [""] * u.size
+    if graph.is_tiered:
+        role_u, role_v = graph.roles[u], graph.roles[v]
+        first = np.where(role_u <= role_v, u, v)
+        u, v = first, u + v - first
+        kinds = [" " + KIND_NAMES[k] for k in (role_u + role_v - 2).tolist()]
     own = isinstance(dest, str)
     fh = open(dest, "w", encoding="ascii") if own else dest
     try:
         fh.write(f"n {graph.node_count}\n")
-        for u in range(graph.node_count):
-            start, end = graph.indptr[u], graph.indptr[u + 1]
-            for pos in range(start, end):
-                v = int(graph.indices[pos])
-                if v <= u:
-                    continue  # each undirected edge once
-                if graph.kinds is None:
-                    fh.write(f"{u} {v}\n")
-                else:
-                    kind = int(graph.kinds[pos])
-                    a, b = u, v
-                    if kind == KIND_TRANSIT12 and graph.roles[u] != ROLE_TIER1:
-                        a, b = v, u
-                    fh.write(f"{a} {b} {KIND_NAMES[kind]}\n")
+        fh.writelines(f"{a} {b}{kind}\n" for a, b, kind in zip(u.tolist(), v.tolist(), kinds))
         fh.write("cluster " + " ".join(str(int(c)) for c in graph.cluster) + "\n")
     finally:
         if own:
@@ -575,8 +557,8 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
     first endpoint of a transit12 edge are tier-1; peer22 endpoints and
     the second transit12 endpoint are tier-2.  A node given both tiers is
     a DomainError, so every kind agrees with the roles the graph keeps.
-    Files without kinds load as flat graphs.  Nodes no kind touches
-    default to tier-2.
+    So is a second cluster line.  Files without kinds load as flat
+    graphs.  Nodes no kind touches default to tier-2.
     """
     own = isinstance(src, str)
     fh = open(src, "r", encoding="ascii") if own else src
@@ -595,15 +577,15 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
         labeled = 0
         tier1: set[int] = set()
         tier2: set[int] = set()
-        cluster: list[int] = []
-        saw_cluster = False
+        cluster: list[int] | None = None
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
             if parts[0] == "cluster":
+                if cluster is not None:
+                    raise DomainError("second cluster line")
                 cluster = _ints(parts[1:], line)
-                saw_cluster = True
                 continue
             if len(parts) not in (2, 3):
                 raise DomainError(f"malformed edge line: {line.rstrip()}")
@@ -611,18 +593,18 @@ def import_graph(src: Union[str, IO[str]]) -> Graph:
             us.append(a)
             vs.append(b)
             if len(parts) == 3:
-                kind = KIND_CODES.get(parts[2])
-                if kind is None:
-                    raise DomainError(f"unknown edge kind {parts[2]!r}")
+                kind = parts[2]
+                if kind not in KIND_NAMES:
+                    raise DomainError(f"unknown edge kind {kind!r}")
                 labeled += 1
-                if kind == KIND_PEER11:
+                if kind == "peer11":
                     tier1.update((a, b))
-                elif kind == KIND_PEER22:
+                elif kind == "peer22":
                     tier2.update((a, b))
                 else:
                     tier1.add(a)
                     tier2.add(b)
-        if not saw_cluster:
+        if cluster is None:
             raise DomainError("missing cluster line")
         if 0 < labeled < len(us):
             raise DomainError("mixed labeled and unlabeled edges")

@@ -8,15 +8,15 @@ consecutive segments of one uniform stream in fixed-size blocks, maps
 all hits to endpoints through one table of row starts (cached per
 tuple of layer shapes), reads the CSR arrays back from half-edge keys
 sorted in place (row bounds from the endpoints' degree counts, each
-neighbor as its key less its row's base), derives each half-edge's kind
-from its endpoints' roles in one vectorized step, and finds reachable nodes by a
-level-synchronous breadth-first search that stops once every node is
+neighbor as its key less its row's base), and finds reachable nodes by
+a level-synchronous breadth-first search that stops once every node is
 seen.  The functions here do the same work one row, one index table or
 one 2-D draw per layer, and one node at a time, so the equivalence
 tests compare two implementations: graphs bit for bit, reachable sets
 exactly.  The package checks a graph's invariants once, vectorized, in
 from_edges; check_graph re-checks them on the built CSR arrays one node
-at a time, kinds against roles included.  relaying_nodes restates the
+at a time.  A graph keeps no edge kinds (the edge-list file names them
+from the roles), so none are checked here.  relaying_nodes restates the
 forwarding rule from the tiers, so the reachability and kernel-state
 tests do not read it from Graph.relay_mask, the rule under test.
 """
@@ -26,9 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from bgpconv.graphs import (
-    KIND_PEER11,
-    KIND_PEER22,
-    KIND_TRANSIT12,
     ROLE_TIER1,
     ROLE_TIER2,
     Graph,
@@ -129,7 +126,8 @@ def reachable_set_dfs(graph: Graph, announcer: int) -> np.ndarray:
 
 
 def check_graph(graph: Graph) -> None:
-    """Structural invariants: CSR shape, symmetry, simplicity, cluster."""
+    """Structural invariants: CSR shape, symmetry, simplicity, roles,
+    cluster."""
     n = graph.node_count
     if graph.indptr.shape != (n + 1,) or graph.indptr[0] != 0:
         raise AssertionError("malformed indptr")
@@ -152,16 +150,11 @@ def check_graph(graph: Graph) -> None:
         graph.cluster.min() < 0 or graph.cluster.max() >= n
     ):
         raise AssertionError("cluster node out of range")
+    if graph.roles.shape != (n,):
+        raise AssertionError("roles misaligned with nodes")
     if graph.is_tiered:
-        if graph.kinds.shape != graph.indices.shape:
-            raise AssertionError("kinds misaligned with indices")
-        kind_of = {(ROLE_TIER1, ROLE_TIER1): KIND_PEER11, (ROLE_TIER2, ROLE_TIER2): KIND_PEER22,
-                   (ROLE_TIER1, ROLE_TIER2): KIND_TRANSIT12,
-                   (ROLE_TIER2, ROLE_TIER1): KIND_TRANSIT12}
         for u in range(n):
-            start, stop = graph.indptr[u], graph.indptr[u + 1]
-            for v, kind in zip(graph.indices[start:stop], graph.kinds[start:stop]):
-                if kind_of.get((int(graph.roles[u]), int(graph.roles[v]))) != kind:
-                    raise AssertionError(f"kind {kind} of edge {u}-{v} disagrees with roles")
+            if int(graph.roles[u]) not in (ROLE_TIER1, ROLE_TIER2):
+                raise AssertionError(f"tiered node {u} outside tier-1 and tier-2")
         if np.any(graph.roles[graph.cluster] != ROLE_TIER1):
             raise AssertionError("tiered cluster must lie in tier-1")

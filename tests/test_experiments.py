@@ -902,6 +902,7 @@ def test_cli_import_graph_rejects_malformed_files(tmp_path, capsys):
         "n 4\n0 1\ncluster 9\n": "out of range",
         "n 4\n0 1\ncluster 0 0\n": "repeated",
         "n 4\n0 1 peer11\n0 2 transit12\ncluster 2\n": "tier-1",
+        "n 3\n0 1\ncluster 0\ncluster 1\n": "second cluster line",
         "n 4\n0 1\ncluster \u00e9\n": "ASCII",
     }
     path = tmp_path / "bad.graph"

@@ -17,10 +17,6 @@ from hypothesis import strategies as st
 import bgpconv.graphs as gg
 from bgpconv.errors import DomainError, UnreachableTopologyError
 from bgpconv.graphs import (
-    KIND_NAMES,
-    KIND_PEER11,
-    KIND_PEER22,
-    KIND_TRANSIT12,
     ROLE_FLAT,
     ROLE_TIER1,
     ROLE_TIER2,
@@ -117,7 +113,7 @@ def test_poisson_block_size_never_changes_the_graph(monkeypatch, block):
         spec = TieredCore(9, 30, 2, 0.5, 0.25, 0.3)
         a, b = gen_tiered_core(spec, seed), gen_tiered_core_triu(spec, seed)
         assert_same_graph(a, b)
-        np.testing.assert_array_equal(a.kinds, b.kinds)
+        np.testing.assert_array_equal(a.roles, b.roles)
 
 
 def test_poisson_determinism():
@@ -255,17 +251,6 @@ def test_tiered_roles_kinds_and_cluster():
     assert (g.roles[20:] == ROLE_TIER2).all()
     assert g.cluster.shape == (1,)
     assert (g.roles[g.cluster] == ROLE_TIER1).all()
-    # every edge kind matches its endpoints' tiers
-    for u in range(g.node_count):
-        start, stop = g.indptr[u], g.indptr[u + 1]
-        for v, kind in zip(g.indices[start:stop], g.kinds[start:stop]):
-            tiers = {int(g.roles[u]), int(g.roles[v])}
-            if kind == KIND_PEER11:
-                assert tiers == {ROLE_TIER1}
-            elif kind == KIND_PEER22:
-                assert tiers == {ROLE_TIER2}
-            else:
-                assert kind == KIND_TRANSIT12 and tiers == {ROLE_TIER1, ROLE_TIER2}
 
 
 def test_tiered_provider_count_band():
@@ -298,13 +283,11 @@ def test_tiered_offsets_match_triu_reference(p22, k1):
         spec = TieredCore(20, 100, k1, 0.5, 0.25, p22)
         a, b = gen_tiered_core(spec, seed), gen_tiered_core_triu(spec, seed)
         assert_same_graph(a, b)
-        np.testing.assert_array_equal(a.kinds, b.kinds)
         np.testing.assert_array_equal(a.roles, b.roles)
     for n1, n2 in ((1, 1), (1, 6), (6, 1), (2, 2)):
         spec = TieredCore(n1, n2, 1, 0.7, 0.5, p22)
         a, b = gen_tiered_core(spec, k1), gen_tiered_core_triu(spec, k1)
         assert_same_graph(a, b)
-        np.testing.assert_array_equal(a.kinds, b.kinds)
         np.testing.assert_array_equal(a.roles, b.roles)
 
 
@@ -365,19 +348,6 @@ def test_relay_views_are_the_rows_of_the_relaying_nodes(case):
     np.testing.assert_array_equal(mask, g.roles != ROLE_TIER2)
     assert mask.dtype == np.bool_ and not mask.flags.writeable
     assert g.relay_mask is mask
-
-
-@pytest.mark.parametrize("case", sorted(SMALL_GRAPHS))
-def test_kinds_are_derived_from_the_roles_once(case):
-    g = SMALL_GRAPHS[case]()
-    check_graph(g)  # each half-edge's kind against its endpoints' roles
-    kinds = g.kinds
-    if not g.is_tiered:
-        assert kinds is None
-        return
-    assert kinds.dtype == np.uint8 and kinds.shape == g.indices.shape
-    assert not kinds.flags.writeable
-    assert g.kinds is kinds
 
 
 def test_reachable_set_matches_depth_first_reference():
@@ -473,7 +443,7 @@ def test_export_import_round_trip_flat():
     np.testing.assert_array_equal(g.indptr, back.indptr)
     np.testing.assert_array_equal(g.indices, back.indices)
     np.testing.assert_array_equal(g.cluster, back.cluster)
-    assert back.kinds is None
+    assert not back.is_tiered
     # second export must be byte-identical
     buf2 = io.StringIO()
     export_graph(back, buf2)
@@ -487,7 +457,6 @@ def test_export_import_round_trip_tiered():
     back = import_graph(io.StringIO(buf.getvalue()))
     np.testing.assert_array_equal(g.indices, back.indices)
     np.testing.assert_array_equal(g.roles, back.roles)
-    np.testing.assert_array_equal(g.kinds, back.kinds)
     np.testing.assert_array_equal(g.cluster, back.cluster)
 
 
@@ -547,6 +516,8 @@ def test_import_rejects_malformed_input():
         import_graph(io.StringIO("n 3\n0 0\ncluster 0\n"))  # self-loop
     with pytest.raises(DomainError):
         import_graph(io.StringIO("n 3\n0 1\n"))  # missing cluster line
+    with pytest.raises(DomainError, match="second cluster line"):
+        import_graph(io.StringIO("n 3\n0 1\ncluster 0\ncluster 1\n"))
     with pytest.raises(DomainError):
         import_graph(io.StringIO("n 3\n0 1 peer11\n1 2\ncluster 0\n"))  # mixed labels
     with pytest.raises(DomainError):
@@ -586,11 +557,11 @@ def tiered_path():
 @pytest.mark.parametrize(
     "kinds,message",
     [
-        ([KIND_PEER22, KIND_TRANSIT12, KIND_PEER22], r"conflicting roles for nodes \[1\]"),
-        ([KIND_PEER11, KIND_PEER11, KIND_PEER22], r"conflicting roles for nodes \[2\]"),
-        ([KIND_PEER11, KIND_TRANSIT12, KIND_TRANSIT12], r"conflicting roles for nodes \[2\]"),
-        ([KIND_PEER11, KIND_TRANSIT12, 0], "unknown edge kind '0'"),
-        ([KIND_PEER11, KIND_TRANSIT12, 255], "unknown edge kind '255'"),
+        (["peer22", "transit12", "peer22"], r"conflicting roles for nodes \[1\]"),
+        (["peer11", "peer11", "peer22"], r"conflicting roles for nodes \[2\]"),
+        (["peer11", "transit12", "transit12"], r"conflicting roles for nodes \[2\]"),
+        (["peer11", "transit12", "0"], "unknown edge kind '0'"),
+        (["peer11", "transit12", "255"], "unknown edge kind '255'"),
     ],
     ids=["peer22-on-tier-1-pair", "peer11-across-tiers", "transit-within-tier-2",
          "kind-0", "kind-255"],
@@ -600,11 +571,10 @@ def test_import_rejects_kinds_that_disagree_with_the_roles(kinds, message):
     # inferred from them, so a wrong label on tiered_path's edges gives
     # some node both tiers (or names no kind at all)
     def edge_list(labels):
-        lines = [f"{a} {b} {KIND_NAMES.get(k, k)}\n"
-                 for a, b, k in zip((0, 1, 2), (1, 2, 3), labels)]
+        lines = [f"{a} {b} {k}\n" for a, b, k in zip((0, 1, 2), (1, 2, 3), labels)]
         return io.StringIO("n 4\n" + "".join(lines) + "cluster 0\n")
 
-    right = import_graph(edge_list([KIND_PEER11, KIND_TRANSIT12, KIND_PEER22]))
+    right = import_graph(edge_list(["peer11", "transit12", "peer22"]))
     np.testing.assert_array_equal(right.roles, tiered_path()["roles"])
     with pytest.raises(DomainError, match=message):
         import_graph(edge_list(kinds))
@@ -628,15 +598,6 @@ def test_from_edges_rejects_tiered_roles_outside_the_tiers(change):
         from_edges(**case)
 
 
-def test_from_edges_takes_half_edge_kinds_from_the_roles():
-    g = from_edges(**tiered_path())
-    assert g.is_tiered
-    assert g.kinds.tolist() == [KIND_PEER11, KIND_PEER11, KIND_TRANSIT12,
-                                KIND_TRANSIT12, KIND_PEER22, KIND_PEER22]
-    flat = from_edges(**{**tiered_path(), "roles": None})
-    assert not flat.is_tiered and flat.kinds is None
-
-
 @pytest.mark.parametrize(
     "u,v,message",
     [
@@ -647,8 +608,8 @@ def test_from_edges_takes_half_edge_kinds_from_the_roles():
     ],
 )
 def test_from_edges_checks_the_edge_set_before_the_kinds(u, v, message):
-    # the kinds follow from the roles, and node 3 is given a flat role,
-    # which a tiered graph rejects: the edge-set defect must be reported
+    # node 3 is given a flat role, which a tiered graph rejects: the
+    # edge-set defect must be reported
     # first, before any role is read
     case = tiered_path()
     case["roles"][3] = ROLE_FLAT
@@ -663,7 +624,7 @@ def test_from_edges_rejects_an_empty_tiered_graph():
     with pytest.raises(DomainError, match="a tiered graph needs at least one node"):
         from_edges(0, [], [], roles=[])
     empty = from_edges(0, [], [])
-    assert not empty.is_tiered and empty.kinds is None and empty.edge_count == 0
+    assert not empty.is_tiered and empty.edge_count == 0
 
 
 def test_from_edges_rejects_roles_of_the_wrong_length():
@@ -778,11 +739,19 @@ def test_gen_graph_dispatch():
 
 def csr_digest(graphs):
     """sha256 over the CSR bytes (indptr, indices, kinds, roles, cluster)
-    of each graph in turn; a flat graph's missing kinds hash as b"flat"."""
+    of each graph in turn.  The kinds are the uint8 half-edge codes
+    role_u + role_v - 1 aligned with indices (1 peer11, 2 transit12,
+    3 peer22), derived here from the roles; a flat graph hashes b"flat"
+    in their place."""
     h = hashlib.sha256()
     for g in graphs:
-        for arr in (g.indptr, g.indices, g.kinds, g.roles, g.cluster):
-            h.update(b"flat" if arr is None else arr.tobytes())
+        kinds = b"flat"
+        if g.is_tiered:
+            codes = g.roles.repeat(g.degrees) + g.roles.take(g.indices) - 1
+            kinds = codes.astype(np.uint8).tobytes()
+        for part in (g.indptr.tobytes(), g.indices.tobytes(), kinds,
+                     g.roles.tobytes(), g.cluster.tobytes()):
+            h.update(part)
     return h.hexdigest()
 
 
