@@ -187,6 +187,9 @@ def _map_points(fn: Callable, items: Iterable) -> list:
         or threading.active_count() > 1
     ):
         return [fn(x) for x in items]
+    # every point draws: load numpy.random once here, so the workers
+    # inherit it rather than each importing it again
+    import numpy.random  # noqa: F401
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         results = pool.map(fn, items, chunksize=1)
         pool.close()

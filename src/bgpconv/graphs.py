@@ -40,7 +40,9 @@ KIND_NAMES = ("peer11", "transit12", "peer22")
 # fit in int64; import_graph rejects larger header counts
 MAX_NODES = 3_037_000_499
 
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+# the random types stay forward references: naming np.random here would
+# import numpy.random with the package, which the closed forms never use
+SeedLike = Union[int, "np.random.SeedSequence", "np.random.Generator"]
 
 
 @dataclass(frozen=True, eq=False)

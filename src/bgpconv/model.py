@@ -155,11 +155,17 @@ def p_sdn_distribution(params: ModelParams) -> np.ndarray:
     Under a uniformly random informing order (which also underlies the
     enumeration oracle used in the tests), the first cluster member is
     informed at position x + 1 with probability C(N-1-x, k-1) / C(N, k).
-    That is P(0) = k/N and P(x+1) = P(x) * (N-k-x) / (N-1-x), evaluated
-    as one cumulative product; at k = 1 every ratio is exactly 1.0, so
-    every entry is exactly 1/N.
+    At k = 2 that is (N-1-x) / C(N, 2), one division per entry, rounded
+    once while C(N, 2) is exact in a float (N below about 1.3e8): the
+    ratios (m-1)/m of the product below all round the same way there,
+    so it would drift.  Otherwise P(0) = k/N and
+    P(x+1) = P(x) * (N-k-x) / (N-1-x), evaluated as one cumulative
+    product; at k = 1 every ratio is exactly 1.0, so every entry is
+    exactly 1/N.
     """
     n, k = params.n_total, params.k_cluster
+    if k == 2:
+        return np.arange(n - 1, 0, -1, dtype=np.float64) / float(math.comb(n, 2))
     x = np.arange(params.steps, dtype=np.int64)
     return np.cumprod(np.concatenate(([k / n], (n - k - x) / (n - 1 - x))))
 

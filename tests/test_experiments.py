@@ -462,13 +462,18 @@ def test_cli_analytic_above_ten_thousand_nodes(capsys):
     assert "expected_time" in capsys.readouterr().out
 
 
-def run_module(*argv):
-    """`python -m bgpconv argv...` in a fresh interpreter."""
+def run_fresh(*args):
+    """`python args...` in a fresh interpreter that imports this bgpconv."""
     src = str(Path(bc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "bgpconv", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_module(*argv):
+    """`python -m bgpconv argv...` in a fresh interpreter."""
+    return run_fresh("-m", "bgpconv", *argv)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -1102,3 +1107,63 @@ def test_cli_core_reports_best_k1(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith(CORE_HEADER + "\n")
     assert "p22=0.2" in captured.err
+
+
+# Runs the CLI calls in argv[1] (a JSON list) in one fresh interpreter
+# with two CPUs in its affinity mask, and prints, as JSON, whether
+# numpy.random was loaded after the import and after each call, with
+# each call's exit code and stdout.
+NUMPY_RANDOM_PROBE = """
+import contextlib, io, json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+import bgpconv
+from bgpconv import cli
+report = ["numpy.random" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    report.append(["numpy.random" in sys.modules, code, out.getvalue()])
+print(json.dumps(report))
+"""
+
+DRAW_FREE_CALLS = [
+    ["analytic", "--family", "full-mesh", "--n", "300", "--k", "3"],
+    ["analytic", "--family", "poisson", "--n", "300", "--k", "3", "--p-edge", "0.05"],
+    ["analytic", "--family", "tiered", "--k1", "5"],
+    ["analytic", "--family", "config-model", "--n", "300", "--k", "3",
+     "--mu-d", "13.4", "--cv-d", "1.05", "--degenerate", "clamp"],
+]
+
+
+def numpy_random_probe(*calls):
+    proc = run_fresh("-c", NUMPY_RANDOM_PROBE, json.dumps([list(c) for c in calls]))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("drawing", ["config-model", "simulate"])
+def test_only_calls_that_draw_load_numpy_random(drawing, capsys):
+    # the closed forms draw nothing, so numpy.random stays unimported
+    # until a call needs a generator
+    drawn_config = ("analytic", "--family", "config-model", "--n", "300", "--k", "3",
+                    "--d-min", "5", "--d-max", "200", "--exponent", "2.0",
+                    "--degenerate", "clamp")
+    call = drawn_config if drawing == "config-model" else \
+        SINGLE_RECORD_COMMANDS["simulate-full-mesh"]
+    imported, *free, (loaded, code, out) = numpy_random_probe(*DRAW_FREE_CALLS, call)
+    assert imported is False
+    assert [(row[0], row[1]) for row in free] == [(False, 0)] * len(DRAW_FREE_CALLS)
+    for argv, (_, _, text) in zip(DRAW_FREE_CALLS, free):
+        assert run_cli(*argv) == 0
+        assert text == capsys.readouterr().out
+    assert (loaded, code) == (True, 0)
+    if drawing == "simulate":
+        assert out == SINGLE_RECORD_BYTES["simulate-full-mesh", "text"]
+
+
+def test_forked_points_leave_numpy_random_loaded_in_the_parent():
+    argv, digest = GRID_COMMANDS["sweep-poisson-regenerate"]
+    imported, (loaded, code, out) = numpy_random_probe(argv)
+    assert (imported, loaded, code) == (False, True, 0)
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

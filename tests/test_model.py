@@ -91,6 +91,17 @@ def test_hit_distribution_is_exactly_uniform_for_one_member():
     assert (dist == 1 / n).all()
 
 
+@pytest.mark.parametrize("n", [6000, 75_000])
+def test_hit_distribution_for_two_members_is_correctly_rounded(n):
+    # k = 2: P(x) = (N-1-x) / C(N, 2); each entry is the exact value
+    # rounded once, so it is within half an ulp (2**-53 relative)
+    dist = p_sdn_distribution(ModelParams(n, 2, 1.0))
+    pairs = math.comb(n, 2)
+    assert dist.size == n - 1
+    worst = max(abs(Fraction(float(p)) * pairs / (n - 1 - x) - 1) for x, p in enumerate(dist))
+    assert worst <= Fraction(1, 2**53)
+
+
 def test_log_space_path_agrees_with_direct_product():
     # above the size cutoff the implementation moves to log space; the
     # answer must still match the plain product formula for small x
