@@ -10,10 +10,11 @@ run because tiered reachability depends on the announcer.  Both drivers
 build their rows through _measured and _failed.
 
 Since no point reads another's stream, both drivers spread their points
-over the CPUs in the process's affinity mask (_map_points, forked
-workers) and return the same rows at any worker count; a single CPU
-(`taskset -c 0`) runs them serially.  simulate_batch and the closed
-forms stay serial.
+over the CPUs in the process's affinity mask (simulate._map_points,
+forked workers) and return the same rows at any worker count; a single
+CPU (`taskset -c 0`) runs them serially.  A batch spreads its runs the
+same way (simulate._run_batch), except inside a point's worker, which is
+daemonic and so runs them serially; the closed forms stay serial.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import functools
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .analytic import convergence_time, core_convergence_time, round_half_up
 from .errors import DOMAIN_ERRORS, DomainError, UnreachableTopologyError
 from .graphs import Graph, draw_attempt, ensure_reachable, gen_power_law_degrees
 from .model import ConfigModel, ModelParams, TieredCore, TopologySpec, degree_stats
-from .simulate import RunConfig, RunStats, _run_batch, derive_seed, simulate_batch
+from .simulate import RunConfig, RunStats, _map_points, _run_batch, derive_seed, simulate_batch
 
 _GRAPH_SALT = 1
 _SIM_SALT = 2
@@ -162,39 +162,6 @@ def _failed(row_type: type, exc: Exception, keys: dict):
     blank = {f.name: fill[f.type] for f in fields(row_type)
              if f.type in fill and f.name not in keys}
     return row_type(**keys, **blank, error=f"{type(exc).__name__}: {exc}")
-
-
-def _map_points(fn: Callable, items: Iterable) -> list:
-    """[fn(x) for x in items], in item order, with one forked worker per
-    CPU in this process's affinity mask (at most one per item).
-
-    Runs serially with one CPU or one item, where the platform cannot
-    fork, in a daemonic process, which may not have children, and while
-    another thread runs, which a forked child could find holding a lock.
-    A worker's exception reaches the caller, and no worker outlives the
-    call.
-    """
-    import multiprocessing
-    import threading
-
-    items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items))
-    if (
-        workers < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-        or threading.active_count() > 1
-    ):
-        return [fn(x) for x in items]
-    # every point draws: load numpy.random once here, so the workers
-    # inherit it rather than each importing it again
-    import numpy.random  # noqa: F401
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        results = pool.map(fn, items, chunksize=1)
-        pool.close()
-        pool.join()
-    return results
 
 
 def _sweep_point(spec: SweepSpec, item: tuple[int, float]) -> ComparisonRow:

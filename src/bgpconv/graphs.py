@@ -11,7 +11,7 @@ can treat it as a single super-node (informing any member informs all).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import IO, Iterable, Union
@@ -59,6 +59,11 @@ class Graph:
     indices: np.ndarray
     roles: np.ndarray
     cluster: np.ndarray
+
+    def __getstate__(self) -> dict:
+        # the fields only: the cached derived ones (relay_views holds
+        # memoryviews, which cannot pickle) are rebuilt on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]

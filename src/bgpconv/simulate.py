@@ -6,13 +6,20 @@ simulate_batch keeps cfg's graph and takes an announcer child and a
 clock child of SeedSequence((seed, r)); a case-study grid point redraws
 graph and announcer per run (experiments).  Either way, changing the
 number of runs never perturbs earlier runs.
+
+Since no run reads another's stream, _run_batch splits its runs into one
+contiguous range per CPU in the process's affinity mask and runs the
+ranges through _map_points, the one fork map, which the sweep and grid
+drivers share.  Times, announcers and errors are those of the serial
+loop, byte for byte; a single CPU (`taskset -c 0`) runs serially.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -148,26 +155,99 @@ class BatchResult:
     stats: RunStats
 
 
+def _cpu_count() -> int:
+    """The number of CPUs in this process's affinity mask."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# the fn of the running _map_points; forked workers inherit it, so it is
+# never pickled and may be a lambda or hold what cannot pickle
+_mapped: Callable | None = None
+
+
+def _call_mapped(x):
+    # an error comes back as a value, so that the caller raises the one
+    # of the lowest failing item whichever worker fails first
+    try:
+        return _mapped(x), None
+    except Exception as exc:
+        return None, exc
+
+
+def _map_points(fn: Callable, items: Iterable) -> list:
+    """[fn(x) for x in items], in item order, with one forked worker per
+    CPU in this process's affinity mask (at most one per item).
+
+    Runs serially with one CPU or one item, where the platform cannot
+    fork, in a daemonic process, which may not have children, and while
+    another thread runs, which a forked child could find holding a lock.
+    The workers inherit fn, so only the items and results are pickled.
+    Every item runs, and then the exception of the lowest failing item
+    reaches the caller, as in the serial loop; no worker outlives the
+    call.
+    """
+    global _mapped
+    import multiprocessing
+    import threading
+
+    items = list(items)
+    workers = min(_cpu_count(), len(items))
+    if (
+        workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return [fn(x) for x in items]
+    # every point draws: load numpy.random once here, so the workers
+    # inherit it rather than each importing it again
+    import numpy.random  # noqa: F401
+    _mapped = fn
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_call_mapped, items, chunksize=1)
+            pool.close()
+            pool.join()
+    finally:
+        _mapped = None
+    for _, exc in results:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in results]
+
+
 def _run_batch(draw: Callable, runs: int, lam: float, policy: str) -> BatchResult:
     """The one run loop: run r disseminates at rate lam under policy on
     draw(r) = (graph, announcer, clock seed).  An unreachable run
     re-raises with a `run r:` prefix; an overflowing one is a DomainError.
+    The runs go in one contiguous range per CPU through _map_points, and
+    the error raised is that of the lowest failing run.
     """
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
     inv_lam = 1.0 / float(lam)
-    times = np.empty(runs, dtype=np.float64)
-    announcers = np.empty(runs, dtype=np.int64)
-    for r in range(runs):
-        graph, origin, clock = draw(r)
-        try:
-            node_times, _ = run_dissemination(graph, origin, inv_lam, clock, policy=policy)
-        except UnreachableTopologyError as exc:
-            raise UnreachableTopologyError(f"run {r}: {exc}") from exc
-        times[r] = node_times.max()
-        if not math.isfinite(times[r]):
-            raise DomainError(f"run {r}: convergence time overflows at lam {lam}")
-        announcers[r] = origin
+
+    def run_range(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        start, stop = bounds
+        times = np.empty(stop - start, dtype=np.float64)
+        announcers = np.empty(stop - start, dtype=np.int64)
+        for i, r in enumerate(range(start, stop)):
+            graph, origin, clock = draw(r)
+            try:
+                node_times, _ = run_dissemination(graph, origin, inv_lam, clock, policy=policy)
+            except UnreachableTopologyError as exc:
+                raise UnreachableTopologyError(f"run {r}: {exc}") from exc
+            times[i] = node_times.max()
+            if not math.isfinite(times[i]):
+                raise DomainError(f"run {r}: convergence time overflows at lam {lam}")
+            announcers[i] = origin
+        return times, announcers
+
+    parts = min(_cpu_count(), runs)
+    bounds = [runs * i // parts for i in range(parts + 1)]
+    ranges = _map_points(run_range, zip(bounds, bounds[1:]))
+    times = np.concatenate([t for t, _ in ranges])
+    announcers = np.concatenate([a for _, a in ranges])
     return BatchResult(times, announcers, RunStats.from_times(times))
 
 
@@ -177,7 +257,8 @@ def simulate_batch(cfg: RunConfig, runs: int) -> BatchResult:
     cfg.announcer "uniform" redraws the origin each run (uniform over
     all nodes on flat graphs, over tier-2 nodes on tiered ones); a node
     id is the origin of every run.  Runs use the kernel that
-    BGPCONV_BACKEND selects (see active_backend).
+    BGPCONV_BACKEND selects (see active_backend) and spread over the
+    CPUs as _run_batch says, with the same results at any CPU count.
     """
     return _run_batch(lambda r: _draw_run(cfg, r), runs, cfg.lam, cfg.policy)
 

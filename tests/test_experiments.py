@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import types
 import warnings
 from pathlib import Path
@@ -303,15 +304,6 @@ def test_case_study_unreachable_grid_point_is_marked(template, p22, k1, error):
 
 # ---------------------------------------------------------------- workers
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the number of CPUs the point helper sees in the affinity mask."""
-    def force(n: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-    return force
-
-
 def worker_pid(_):
     return os.getpid()
 
@@ -325,6 +317,31 @@ def test_map_points_runs_one_worker_per_cpu(n, cpus):
     else:
         assert os.getpid() not in pids and len(set(pids)) <= 2
     assert _map_points(str, range(5)) == [str(i) for i in range(5)]
+    assert multiprocessing.active_children() == []
+
+
+def test_map_points_inherits_fn_without_pickling_it(cpus):
+    cpus(2)
+    view = memoryview(b"abcd")  # a memoryview cannot pickle
+    pairs = _map_points(lambda i: (bytes(view[i : i + 1]), os.getpid()), range(4))
+    assert [b for b, _ in pairs] == [b"a", b"b", b"c", b"d"]
+    assert os.getpid() not in {pid for _, pid in pairs}
+    assert multiprocessing.active_children() == []
+
+
+def test_map_points_raises_the_error_of_the_lowest_failing_item(cpus):
+    cpus(2)
+
+    def fail_odd(i):
+        # item 3 fails first
+        if i == 1:
+            time.sleep(0.2)
+        if i % 2:
+            raise DomainError(f"item {i}")
+        return i
+
+    with pytest.raises(DomainError, match=r"^item 1$"):
+        _map_points(fail_odd, range(4))
     assert multiprocessing.active_children() == []
 
 
@@ -1057,6 +1074,22 @@ def test_cli_trace_file_bytes(command, tmp_path, capsys):
     assert digest == TRACE_FILE_DIGESTS[command]
 
 
+def test_cli_simulate_bytes_at_one_and_two_cpus(cpus, tmp_path, capsys):
+    trace_path = tmp_path / "trace.txt"
+    for n in (1, 2):
+        cpus(n)
+        for command, fmt in sorted(SINGLE_RECORD_BYTES):
+            if command.startswith("simulate"):
+                assert run_cli(*SINGLE_RECORD_COMMANDS[command], "--format", fmt) == 0
+                assert capsys.readouterr().out == SINGLE_RECORD_BYTES[command, fmt]
+        for command, digest in TRACE_FILE_DIGESTS.items():
+            argv = SINGLE_RECORD_COMMANDS[command]
+            assert run_cli(*argv, "--trace", str(trace_path)) == 0
+            assert capsys.readouterr().out == SINGLE_RECORD_BYTES[command, "text"]
+            assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
+    assert multiprocessing.active_children() == []
+
+
 # sha256 of the stdout of small sweep and core grids under both policies
 GRID_COMMANDS = {
     "sweep-poisson-regenerate": (
@@ -1110,20 +1143,22 @@ def test_cli_core_reports_best_k1(capsys):
 
 
 # Runs the CLI calls in argv[1] (a JSON list) in one fresh interpreter
-# with two CPUs in its affinity mask, and prints, as JSON, whether
-# numpy.random was loaded after the import and after each call, with
-# each call's exit code and stdout.
+# with two CPUs in its affinity mask, and prints, as JSON, which of
+# multiprocessing and numpy.random were loaded after the import and
+# after each call, with each call's exit code and stdout.
 NUMPY_RANDOM_PROBE = """
 import contextlib, io, json, os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
+def loaded():
+    return [m for m in ("multiprocessing", "numpy.random") if m in sys.modules]
 import bgpconv
 from bgpconv import cli
-report = ["numpy.random" in sys.modules]
+report = [loaded()]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    report.append(["numpy.random" in sys.modules, code, out.getvalue()])
+    report.append([loaded(), code, out.getvalue()])
 print(json.dumps(report))
 """
 
@@ -1145,25 +1180,28 @@ def numpy_random_probe(*calls):
 @pytest.mark.parametrize("drawing", ["config-model", "simulate"])
 def test_only_calls_that_draw_load_numpy_random(drawing, capsys):
     # the closed forms draw nothing, so numpy.random stays unimported
-    # until a call needs a generator
+    # until a call needs a generator, and multiprocessing until a call
+    # forks workers for its runs
     drawn_config = ("analytic", "--family", "config-model", "--n", "300", "--k", "3",
                     "--d-min", "5", "--d-max", "200", "--exponent", "2.0",
                     "--degenerate", "clamp")
     call = drawn_config if drawing == "config-model" else \
         SINGLE_RECORD_COMMANDS["simulate-full-mesh"]
     imported, *free, (loaded, code, out) = numpy_random_probe(*DRAW_FREE_CALLS, call)
-    assert imported is False
-    assert [(row[0], row[1]) for row in free] == [(False, 0)] * len(DRAW_FREE_CALLS)
+    assert imported == []
+    assert [(row[0], row[1]) for row in free] == [([], 0)] * len(DRAW_FREE_CALLS)
     for argv, (_, _, text) in zip(DRAW_FREE_CALLS, free):
         assert run_cli(*argv) == 0
         assert text == capsys.readouterr().out
-    assert (loaded, code) == (True, 0)
     if drawing == "simulate":
+        assert (loaded, code) == (["multiprocessing", "numpy.random"], 0)
         assert out == SINGLE_RECORD_BYTES["simulate-full-mesh", "text"]
+    else:
+        assert (loaded, code) == (["numpy.random"], 0)
 
 
 def test_forked_points_leave_numpy_random_loaded_in_the_parent():
     argv, digest = GRID_COMMANDS["sweep-poisson-regenerate"]
     imported, (loaded, code, out) = numpy_random_probe(argv)
-    assert (imported, loaded, code) == (False, True, 0)
+    assert (imported, loaded, code) == ([], ["multiprocessing", "numpy.random"], 0)
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

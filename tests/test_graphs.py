@@ -8,6 +8,7 @@ correct implementation clears them with wide margin.
 import hashlib
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bgpconv.graphs as gg
+from bgpconv._kernels import run_dissemination
 from bgpconv.errors import DomainError, UnreachableTopologyError
 from bgpconv.graphs import (
     ROLE_FLAT,
@@ -753,6 +755,19 @@ def csr_digest(graphs):
                      g.roles.tobytes(), g.cluster.tobytes()):
             h.update(part)
     return h.hexdigest()
+
+
+def test_graph_pickles_after_a_run():
+    # a run caches relay_views, memoryviews that cannot pickle; the
+    # pickle keeps the fields only, and the copy runs the same
+    g = gen_tiered_core(TieredCore(8, 30, 2, 0.5, 0.25, 0.2, 1.0), 3)
+    announcer = int(np.flatnonzero(g.roles == ROLE_TIER2)[0])
+    times = run_dissemination(g, announcer, 1.0, 7, policy="reachable-only")[0]
+    assert "relay_views" in vars(g)
+    copy = pickle.loads(pickle.dumps(g))
+    assert csr_digest([copy]) == csr_digest([g])
+    np.testing.assert_array_equal(
+        run_dissemination(copy, announcer, 1.0, 7, policy="reachable-only")[0], times)
 
 
 def exported_tiered():

@@ -9,7 +9,10 @@ determinism properties that must hold run by run.
 import hashlib
 import io
 import math
+import multiprocessing
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -168,6 +171,58 @@ def test_rate_doubling_halves_every_event_time_exactly():
 def test_derive_seed_is_stable_and_order_sensitive():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(3, 2, 1)
+
+
+# -------------------------------------------------------- runs across CPUs
+
+def batch_bytes(batch):
+    return batch.times.tobytes(), batch.announcers.tobytes(), batch.stats
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3, 5, 7])
+def test_batch_is_bit_identical_at_one_and_two_cpus(runs, cpus):
+    cfg = RunConfig(graph=gg.gen_poisson(ModelParams(60, 3, 1.0), 0.1, 2), seed=8,
+                    policy="reachable-only")
+    cpus(1)
+    serial = batch_bytes(simulate_batch(cfg, runs))
+    cpus(2)
+    assert batch_bytes(simulate_batch(cfg, runs)) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_batch_runs_in_forked_workers_at_two_cpus(cpus):
+    cpus(2)
+    g = gg.gen_full_mesh(ModelParams(12, 2), 0)
+    parent = os.getpid()
+
+    def draw(r):
+        assert os.getpid() != parent, "a run ran in the calling process"
+        return g, r % 12, r
+
+    serial = [run_dissemination(g, r % 12, 1.0, r)[0].max() for r in range(5)]
+    assert simulate._run_batch(draw, 5, 1.0, "strict").times.tolist() == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_batch_error_names_the_lowest_failing_run(cpus):
+    # at two CPUs the runs split into 0..2 and 3..5: both ranges fail,
+    # and the second fails first
+    path = gg.from_edges(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    split = gg.from_edges(4, np.array([0, 1]), np.array([1, 2]))
+
+    def draw(r):
+        if r == 2:
+            time.sleep(0.2)
+        return (split if r in (2, 3, 5) else path), 0, r
+
+    messages = []
+    for n in (1, 2):
+        cpus(n)
+        with pytest.raises(UnreachableTopologyError, match=r"^run 2: ") as exc:
+            simulate._run_batch(draw, 6, 1.0, "strict")
+        messages.append(str(exc.value))
+        assert multiprocessing.active_children() == []
+    assert messages[0] == messages[1]
 
 
 # ------------------------------------------------------------------ traces
